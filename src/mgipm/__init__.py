@@ -49,7 +49,6 @@ from mgipm.ipm import (
     reduce_to_scaled,
     recover_full_step,
     step_lengths,
-    symmetrized_handle,
     solve,
 )
 

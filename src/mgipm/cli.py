@@ -64,7 +64,6 @@ _SCHEMA = {
     "hi": float,
     "bounds_file": str,
     "output_dir": str,
-    "seed": int,
     "a": float,
     "b": float,
     "c": float,
@@ -80,7 +79,6 @@ _SCHEMA = {
     "step_fraction": float,
     "krylov_tol": float,
     "krylov_maxit": int,
-    "precond_mode": str,
     "coarsest_solver": str,
     "coarsest_tol": float,
     "h_list": "floatlist",
@@ -178,10 +176,14 @@ def two_bump_target(x):
 
 def _bounds(cfg, n, default_lo, default_hi):
     if "bounds_file" in cfg:
-        data = np.loadtxt(cfg["bounds_file"], delimiter=",", ndmin=2)
+        path = cfg["bounds_file"]
+        try:
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
         if data.shape != (n, 2):
             raise ConfigError(
-                f"bounds_file must hold {n} rows of lo,hi; got {data.shape}"
+                f"{path}: bounds_file must hold {n} rows of lo,hi; got {data.shape}"
             )
         lo, hi = data[:, 0].copy(), data[:, 1].copy()
     else:
@@ -195,8 +197,8 @@ def _bounds(cfg, n, default_lo, default_hi):
 def _ipm_options(cfg):
     kw = {}
     for key in ("mu_tol", "resid_tol", "max_outer", "step_fraction",
-                "krylov_tol", "krylov_maxit", "precond_mode",
-                "coarsest_solver", "coarsest_tol"):
+                "krylov_tol", "krylov_maxit", "coarsest_solver",
+                "coarsest_tol"):
         if key in cfg:
             kw[key] = cfg[key]
     return IpmOptions(**kw)
@@ -207,14 +209,13 @@ def _hierarchy(cfg, kind, default_n):
     levels = cfg.get("levels", 2)
     if levels < 1:
         raise ConfigError("levels must be >= 1")
-    n0, scale = finest_n, 1
+    n0 = finest_n
     for _ in range(levels - 1):
         if n0 % 2:
             raise ConfigError(
                 f"finest_n={finest_n} not divisible for {levels} levels"
             )
         n0 //= 2
-        scale *= 2
     try:
         return build_hierarchy(kind, n0, levels), finest_n, levels
     except ValueError as exc:
@@ -354,6 +355,10 @@ def _execute(path, overrides):
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        # inner solves that failed beyond use, Krylov breakdowns included
+        print(f"solver error: {path}: {exc}", file=sys.stderr)
+        return 2
 
 
 def _worker_count(n_jobs):

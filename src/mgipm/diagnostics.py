@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from mgipm.grid import NodalField, build_hierarchy, l2_project, node_coordinates, prolong
+from mgipm.krylov import materialize_columns
 from mgipm.precond import make_scaled_system, materialize_g
 
 __all__ = [
@@ -50,14 +51,7 @@ def materialize(op, n):
     """
     if n > DENSE_LIMIT:
         raise ValueError(f"materialize limited to {DENSE_LIMIT} dof, got {n}")
-    apply = op.apply if hasattr(op, "apply") else op
-    out = np.empty((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        out[:, j] = apply(e)
-        e[j] = 0.0
-    return out
+    return materialize_columns(op.apply if hasattr(op, "apply") else op, n)
 
 
 def eigenvalues(a):

@@ -30,6 +30,7 @@ __all__ = [
     "GridLevel",
     "GridHierarchy",
     "NodalField",
+    "unwrap",
     "build_hierarchy",
     "node_coordinates",
     "inner_h",
@@ -53,6 +54,20 @@ class NodalField:
 
     level_index: int
     values: np.ndarray
+
+
+def unwrap(u, level_index):
+    """Float values of a NodalField or plain array, and whether it was a field.
+
+    A field must live on level_index; plain arrays are taken as they are.
+    """
+    if isinstance(u, NodalField):
+        if u.level_index != level_index:
+            raise ValueError(
+                f"field on level {u.level_index}, expected level {level_index}"
+            )
+        return np.asarray(u.values, dtype=float), True
+    return np.asarray(u, dtype=float), False
 
 
 @dataclass(frozen=True)

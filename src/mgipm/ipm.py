@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mgipm.grid import GridHierarchy, NodalField, discrete_w2inf
+from mgipm.grid import GridHierarchy, NodalField, discrete_w2inf, unwrap
 from mgipm.krylov import LinearOperatorHandle, cg, cgs
 from mgipm.precond import (
     build_preconditioner,
@@ -38,7 +38,6 @@ __all__ = [
     "reduce_to_scaled",
     "recover_full_step",
     "step_lengths",
-    "symmetrized_handle",
     "solve",
 ]
 
@@ -100,7 +99,6 @@ class IpmOptions:
     step_fraction: float = 0.99995
     krylov_tol: float = 1e-8
     krylov_maxit: int = 500
-    precond_mode: str = "w-cycle"
     coarsest_solver: str = "auto"
     coarsest_tol: float = 1e-10
     sigma_min: float = 1e-8
@@ -142,8 +140,10 @@ class ReducedSystem:
     rhs: np.ndarray
 
 
-def _values(fld):
-    return np.asarray(fld.values if isinstance(fld, NodalField) else fld, dtype=float)
+def _values(state, *fields):
+    """Values of u, v1, v2 and of further fields, all on the level of state.u."""
+    level_index = state.u.level_index
+    return [unwrap(f, level_index)[0] for f in (state.u, state.v1, state.v2, *fields)]
 
 
 def _check_feasible(u, v1, v2, lo, hi):
@@ -158,43 +158,35 @@ def hessian_apply(prob, u):
     finest = prob.hierarchy.n_levels - 1
     op = prob.operators[finest]
     w = prob.hierarchy.finest.weights
-    vals = _values(u)
+    vals, wrap = unwrap(u, finest)
     out = prob.beta * w * vals + op.apply_transpose(w * op.apply(vals))
-    if isinstance(u, NodalField):
-        return NodalField(finest, out)
-    return out
+    return NodalField(finest, out) if wrap else out
 
 
 def compute_mu(state, lo, hi):
     """Mehrotra duality measure ((u-lo).v1 + (hi-u).v2) / (2 N)."""
-    u = _values(state.u)
-    v1 = _values(state.v1)
-    v2 = _values(state.v2)
-    lov = _values(lo)
-    hiv = _values(hi)
-    n = u.size
-    return float((u - lov) @ v1 + (hiv - u) @ v2) / (2.0 * n)
+    u, v1, v2, lov, hiv = _values(state, lo, hi)
+    return float((u - lov) @ v1 + (hiv - u) @ v2) / (2.0 * u.size)
 
 
-def kkt_residuals(prob, state, _ktwf=None):
-    """Pure KKT residuals (mu = 0) of the current iterate.
+def kkt_residuals(prob, state, ktwf=None):
+    """Pure KKT residuals (mu = 0) of a strictly feasible iterate.
 
     Returns (r_u, r_v1, r_v2, norms) with Euclidean norms per block.
     r_u = K^T W f - A u - v2 + v1 is the dual feasibility defect, the
-    other two blocks measure complementarity against zero.
+    other two blocks measure complementarity against zero.  ktwf, if
+    given, is the precomputed K^T W f.
     """
-    u = _values(state.u)
-    v1 = _values(state.v1)
-    v2 = _values(state.v2)
-    lo = _values(prob.lo)
-    hi = _values(prob.hi)
+    u, v1, v2, lo, hi = _values(state, prob.lo, prob.hi)
     _check_feasible(u, v1, v2, lo, hi)
     finest = prob.hierarchy.n_levels - 1
     op = prob.operators[finest]
     w = prob.hierarchy.finest.weights
-    if _ktwf is None:
-        _ktwf = op.apply_transpose(w * _values(prob.f))
-    r_u = _ktwf - hessian_apply(prob, u) - v2 + v1
+    if ktwf is None:
+        ktwf = op.apply_transpose(w * unwrap(prob.f, finest)[0])
+    # the two terms of A u are subtracted one at a time: summing them first,
+    # as hessian_apply does, rounds differently and changes the iterates
+    r_u = ktwf - prob.beta * w * u - op.apply_transpose(w * op.apply(u)) - v2 + v1
     r_v1 = -v1 * (u - lo)
     r_v2 = -v2 * (hi - u)
     norms = (
@@ -213,24 +205,18 @@ def reduce_to_scaled(prob, state, r_u, r_v1, r_v2):
     D_{1/p} W^{-1} (r_u + r_v1/(u-lo) - r_v2/(hi-u)) with p = sqrt(lambda),
     so that G du' = rhs and du = D_{1/p} du'.
     """
-    u = _values(state.u)
-    v1 = _values(state.v1)
-    v2 = _values(state.v2)
-    lo = _values(prob.lo)
-    hi = _values(prob.hi)
+    u, v1, v2, lo, hi = _values(state, prob.lo, prob.hi)
+    _check_feasible(u, v1, v2, lo, hi)
     g1 = u - lo
     g2 = hi - u
-    if np.any(g1 <= 0.0) or np.any(g2 <= 0.0) or np.any(v1 <= 0.0) or np.any(v2 <= 0.0):
-        raise ValueError("reduction requires a strictly feasible state")
     w = prob.hierarchy.finest.weights
-    finest = prob.hierarchy.n_levels - 1
     m = v1 / g1 + v2 / g2
     lam_vals = m / w + prob.beta
     p = np.sqrt(lam_vals)
     r = np.asarray(r_u, dtype=float) + np.asarray(r_v1, dtype=float) / g1
     r = r - np.asarray(r_v2, dtype=float) / g2
     rhs = (r / w) / p
-    return ReducedSystem(m, NodalField(finest, lam_vals), p, rhs)
+    return ReducedSystem(m, NodalField(prob.hierarchy.n_levels - 1, lam_vals), p, rhs)
 
 
 def recover_full_step(state, du, r_v1, r_v2, lo, hi):
@@ -239,15 +225,10 @@ def recover_full_step(state, du, r_v1, r_v2, lo, hi):
     dv1 = (r_v1 - v1 du)/(u - lo) and dv2 = (r_v2 + v2 du)/(hi - u);
     returns the full direction triple (du, dv1, dv2).
     """
-    u = _values(state.u)
-    v1 = _values(state.v1)
-    v2 = _values(state.v2)
+    u, v1, v2, lov, hiv = _values(state, lo, hi)
     du = np.asarray(du, dtype=float)
-    g1 = u - _values(lo)
-    g2 = _values(hi) - u
-    dv1, dv2 = _recover(g1, g2, v1, v2, du,
-                        np.asarray(r_v1, dtype=float),
-                        np.asarray(r_v2, dtype=float))
+    dv1 = (np.asarray(r_v1, dtype=float) - v1 * du) / (u - lov)
+    dv2 = (np.asarray(r_v2, dtype=float) + v2 * du) / (hiv - u)
     return du, dv1, dv2
 
 
@@ -258,10 +239,8 @@ def step_lengths(state, du, dv1, dv2, lo, hi, tau):
     it exceeds one the full step is taken undamped, otherwise it is
     scaled by tau.  The dual length is joint over both multipliers.
     """
-    u = _values(state.u)
-    v1 = _values(state.v1)
-    v2 = _values(state.v2)
-    ap = _max_primal_step(u, _values(lo), _values(hi), np.asarray(du, dtype=float))
+    u, v1, v2, lov, hiv = _values(state, lo, hi)
+    ap = _max_primal_step(u, lov, hiv, np.asarray(du, dtype=float))
     ad = _max_dual_step(v1, v2, np.asarray(dv1, dtype=float), np.asarray(dv2, dtype=float))
     alpha_p = 1.0 if ap > 1.0 else tau * ap
     alpha_d = 1.0 if ad > 1.0 else tau * ad
@@ -288,15 +267,42 @@ def _max_dual_step(v1, v2, dv1, dv2):
     return amax
 
 
-def symmetrized_handle(sys):
-    """Euclidean-symmetric conjugation of G, for unpreconditioned CG."""
-    return symmetrized_g_handle(sys)
+def _inner_solver(prob, red, opts):
+    """rhs -> (du, report): the scaled inner solve for red's lambda, unscaled.
 
+    One level runs CG on the symmetrized G; more levels run CGS with the
+    multigrid cycle, whose preconditioner is built here once per call.
+    """
+    hier = prob.hierarchy
+    finest = hier.n_levels - 1
+    level = hier.finest
+    p = red.p
+    if hier.n_levels == 1:
+        sys = make_scaled_system(
+            finest, level, prob.operators[finest], red.lam, prob.beta
+        )
+        handle = symmetrized_g_handle(sys)
+        sqw = np.sqrt(level.weights)
 
-def _recover(g1, g2, v1, v2, du, r_v1, r_v2):
-    dv1 = (r_v1 - v1 * du) / g1
-    dv2 = (r_v2 + v2 * du) / g2
-    return dv1, dv2
+        def inner(rhs):
+            y, rep = cg(handle, sqw * rhs, tol=opts.krylov_tol, maxit=opts.krylov_maxit)
+            return (y / sqw) / p, rep
+
+        return inner
+    mg = build_preconditioner(
+        hier, prob.operators, red.lam, prob.beta,
+        coarsest_solver=opts.coarsest_solver,
+        coarsest_tol=opts.coarsest_tol,
+    )
+    sys = mg.systems[-1]
+    gh = LinearOperatorHandle(level.n_dof, lambda v: g_apply(sys, v))
+    ph = LinearOperatorHandle(level.n_dof, lambda v: mg_apply(mg, v))
+
+    def inner(rhs):
+        y, rep = cgs(gh, ph, rhs, tol=opts.krylov_tol, maxit=opts.krylov_maxit)
+        return y / p, rep
+
+    return inner
 
 
 def solve(prob, opts=None):
@@ -310,88 +316,37 @@ def solve(prob, opts=None):
     """
     if opts is None:
         opts = IpmOptions()
-    hier = prob.hierarchy
-    finest = hier.n_levels - 1
-    level = hier.finest
+    finest = prob.hierarchy.n_levels - 1
+    level = prob.hierarchy.finest
     n = level.n_dof
-    w = level.weights
     op = prob.operators[finest]
-    lo = _values(prob.lo)
-    hi = _values(prob.hi)
-    fvals = _values(prob.f)
+    lo = unwrap(prob.lo, finest)[0]
+    hi = unwrap(prob.hi, finest)[0]
 
     matvec0 = op.matvec_counter
-    ktwf = op.apply_transpose(w * fvals)
+    ktwf = op.apply_transpose(level.weights * unwrap(prob.f, finest)[0])
 
-    u = lo + 0.5 * (hi - lo)
-    v1 = np.ones(n)
-    v2 = np.ones(n)
-    mu = float((u - lo) @ v1 + (hi - u) @ v2) / (2.0 * n)
-    mu0 = mu
+    state = IpmState(NodalField(finest, lo + 0.5 * (hi - lo)),
+                     NodalField(finest, np.ones(n)), NodalField(finest, np.ones(n)),
+                     0.0, 0)
+    mu0 = mu = state.mu = compute_mu(state, lo, hi)
+    r_u, r_v1, r_v2, norms = kkt_residuals(prob, state, ktwf)
+    norms0 = [max(nrm, 1e-300) for nrm in norms]
 
-    def residuals(uv, v1v, v2v):
-        r_u = ktwf - prob.beta * w * uv - op.apply_transpose(w * op.apply(uv))
-        r_u = r_u - v2v + v1v
-        r_v1 = -v1v * (uv - lo)
-        r_v2 = -v2v * (hi - uv)
-        return r_u, r_v1, r_v2
-
-    r_u, r_v1, r_v2 = residuals(u, v1, v2)
-    norms0 = [
-        max(np.linalg.norm(r_u), 1e-300),
-        max(np.linalg.norm(r_v1), 1e-300),
-        max(np.linalg.norm(r_v2), 1e-300),
-    ]
-
-    h_cache = {}
     records = []
     converged = False
-    tau = opts.step_fraction
-
     for it in range(1, opts.max_outer + 1):
+        u, v1, v2 = state.u.values, state.v1.values, state.v2.values
         g1 = u - lo
         g2 = hi - u
-        m = v1 / g1 + v2 / g2
-        lam_vals = m / w + prob.beta
-        p = np.sqrt(lam_vals)
-        lam = NodalField(finest, lam_vals)
-        lam_w2 = discrete_w2inf(level, 1.0 / p)
-
-        if hier.n_levels == 1:
-            sys = make_scaled_system(finest, level, op, lam, prob.beta)
-            handle = symmetrized_g_handle(sys)
-            sqw = np.sqrt(w)
-
-            def inner(r):
-                rhs = (r / w) / p
-                y, rep = cg(handle, sqw * rhs, tol=opts.krylov_tol,
-                            maxit=opts.krylov_maxit)
-                return (y / sqw) / p, rep
-        else:
-            mg = build_preconditioner(
-                hier, prob.operators, lam, prob.beta,
-                mode=opts.precond_mode,
-                coarsest_solver=opts.coarsest_solver,
-                coarsest_tol=opts.coarsest_tol,
-                h_cache=h_cache,
-            )
-            sys = mg.systems[-1]
-            gh = LinearOperatorHandle(n, lambda v: g_apply(sys, v))
-            ph = LinearOperatorHandle(n, lambda v: mg_apply(mg, v))
-
-            def inner(r):
-                rhs = (r / w) / p
-                y, rep = cgs(gh, ph, rhs, tol=opts.krylov_tol,
-                             maxit=opts.krylov_maxit)
-                return y / p, rep
+        red = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
+        lam_w2 = discrete_w2inf(level, 1.0 / red.p)
+        inner = _inner_solver(prob, red, opts)
 
         # predictor: pure Newton step toward mu = 0
-        r = r_u + r_v1 / g1 - r_v2 / g2
-        du_a, rep_pred = _checked(inner, r, it, "predictor")
-        dv1_a, dv2_a = _recover(g1, g2, v1, v2, du_a, r_v1, r_v2)
-
-        ap = min(1.0, _max_primal_step(u, lo, hi, du_a))
-        ad = min(1.0, _max_dual_step(v1, v2, dv1_a, dv2_a))
+        du_a, rep_pred = _checked(inner, red.rhs, it, "predictor")
+        _, dv1_a, dv2_a = recover_full_step(state, du_a, r_v1, r_v2, lo, hi)
+        ap, ad = step_lengths(state, du_a, dv1_a, dv2_a, lo, hi, 1.0)
         mu_aff = float(
             (g1 + ap * du_a) @ (v1 + ad * dv1_a)
             + (g2 - ap * du_a) @ (v2 + ad * dv2_a)
@@ -401,22 +356,17 @@ def solve(prob, opts=None):
         # corrector: same matrix, centered rhs minus the affine cross terms
         r_v1c = sigma * mu - v1 * g1 - du_a * dv1_a
         r_v2c = sigma * mu - v2 * g2 + du_a * dv2_a
-        rc = r_u + r_v1c / g1 - r_v2c / g2
-        du, rep_corr = _checked(inner, rc, it, "corrector")
-        dv1, dv2 = _recover(g1, g2, v1, v2, du, r_v1c, r_v2c)
+        rhs_c = reduce_to_scaled(prob, state, r_u, r_v1c, r_v2c).rhs
+        du, rep_corr = _checked(inner, rhs_c, it, "corrector")
+        _, dv1, dv2 = recover_full_step(state, du, r_v1c, r_v2c, lo, hi)
+        alpha_p, alpha_d = step_lengths(state, du, dv1, dv2, lo, hi, opts.step_fraction)
 
-        apmax = _max_primal_step(u, lo, hi, du)
-        admax = _max_dual_step(v1, v2, dv1, dv2)
-        alpha_p = 1.0 if apmax > 1.0 else tau * apmax
-        alpha_d = 1.0 if admax > 1.0 else tau * admax
-
-        u = u + alpha_p * du
-        v1 = v1 + alpha_d * dv1
-        v2 = v2 + alpha_d * dv2
-        _check_feasible(u, v1, v2, lo, hi)
-        mu = float((u - lo) @ v1 + (hi - u) @ v2) / (2.0 * n)
-
-        r_u, r_v1, r_v2 = residuals(u, v1, v2)
+        state = IpmState(NodalField(finest, u + alpha_p * du),
+                         NodalField(finest, v1 + alpha_d * dv1),
+                         NodalField(finest, v2 + alpha_d * dv2),
+                         0.0, it)
+        mu = state.mu = compute_mu(state, lo, hi)
+        r_u, r_v1, r_v2, norms = kkt_residuals(prob, state, ktwf)
         records.append(OuterIterationRecord(
             iteration=it,
             mu=mu,
@@ -426,19 +376,15 @@ def solve(prob, opts=None):
             lambda_w2inf=lam_w2,
         ))
 
-        rel = (
-            np.linalg.norm(r_u) / norms0[0],
-            np.linalg.norm(r_v1) / norms0[1],
-            np.linalg.norm(r_v2) / norms0[2],
-        )
-        if mu <= opts.mu_tol * mu0 and max(rel) <= opts.resid_tol:
+        rel = max(nrm / nrm0 for nrm, nrm0 in zip(norms, norms0))
+        if mu <= opts.mu_tol * mu0 and rel <= opts.resid_tol:
             converged = True
             break
 
     return IpmResult(
-        u=NodalField(finest, u),
-        v1=NodalField(finest, v1),
-        v2=NodalField(finest, v2),
+        u=state.u,
+        v1=state.v1,
+        v2=state.v2,
         records=tuple(records),
         converged=converged,
         mu0=mu0,

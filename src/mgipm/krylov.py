@@ -1,7 +1,9 @@
 """Matrix-free Krylov solvers: plain CG and preconditioned CGS.
 
 Both solvers see the system only through an apply callback and account for
-every operator application they consume.
+every operator application they consume.  The dense column-by-column
+materialization of such a callback lives here too, so that the operator,
+preconditioner and diagnostics layers share one loop.
 """
 
 from __future__ import annotations
@@ -11,7 +13,14 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["LinearOperatorHandle", "KrylovReport", "KrylovBreakdown", "cg", "cgs"]
+__all__ = [
+    "LinearOperatorHandle",
+    "KrylovReport",
+    "KrylovBreakdown",
+    "cg",
+    "cgs",
+    "materialize_columns",
+]
 
 
 class KrylovBreakdown(RuntimeError):
@@ -32,6 +41,17 @@ class KrylovReport:
     final_relative_residual: float
     converged: bool
     matvecs: int
+
+
+def materialize_columns(apply, n):
+    """Dense n-by-n matrix of a linear map, one basis vector at a time."""
+    out = np.empty((n, n))
+    e = np.zeros(n)
+    for j in range(n):
+        e[j] = 1.0
+        out[:, j] = apply(e)
+        e[j] = 0.0
+    return out
 
 
 def cg(op, b, tol=1e-8, maxit=500):

@@ -24,8 +24,9 @@ from mgipm.grid import (
     mass_apply,
     node_coordinates,
     prolong,
+    unwrap,
 )
-from mgipm.krylov import LinearOperatorHandle, cg
+from mgipm.krylov import LinearOperatorHandle, cg, materialize_columns
 
 __all__ = [
     "ForwardOperator",
@@ -50,24 +51,27 @@ class ForwardOperator:
 
     def apply(self, u):
         self.matvec_counter += 1
-        vals, wrap = self._unwrap(u)
+        vals, wrap = unwrap(u, self.level_index)
         out = self._apply(vals)
         return NodalField(self.level_index, out) if wrap else out
 
     def apply_transpose(self, u):
         self.matvec_counter += 1
-        vals, wrap = self._unwrap(u)
+        vals, wrap = unwrap(u, self.level_index)
         out = self._apply_transpose(vals)
         return NodalField(self.level_index, out) if wrap else out
 
-    def _unwrap(self, u):
-        if isinstance(u, NodalField):
-            if u.level_index != self.level_index:
-                raise ValueError(
-                    f"field on level {u.level_index}, operator on {self.level_index}"
-                )
-            return np.asarray(u.values, dtype=float), True
-        return np.asarray(u, dtype=float), False
+    @cached_property
+    def normal_matrix(self):
+        """Dense K^{*h} K, materialized once with 2 n_dof applies; small levels only.
+
+        The matrix is shared by every later caller, so it is read-only.
+        """
+        h = materialize_columns(
+            lambda e: adjoint_h_apply(self, self.apply(e)), self.level.n_dof
+        )
+        h.flags.writeable = False
+        return h
 
 
 class DenseOperator(ForwardOperator):
@@ -303,7 +307,7 @@ def elliptic_build(level, config=None, level_index=0):
 
 def adjoint_h_apply(op, u):
     """Adjoint of K in the weighted pairing: W^{-1} K^T (W u)."""
-    vals, wrap = op._unwrap(u)
+    vals, wrap = unwrap(u, op.level_index)
     w = op.level.weights
     out = op.apply_transpose(w * vals) / w
     return NodalField(op.level_index, out) if wrap else out

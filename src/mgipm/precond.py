@@ -27,8 +27,9 @@ from mgipm.grid import (
     l2_project,
     norm_h,
     prolong,
+    unwrap,
 )
-from mgipm.krylov import LinearOperatorHandle, cg
+from mgipm.krylov import LinearOperatorHandle, cg, materialize_columns
 
 __all__ = [
     "ScaledSystem",
@@ -66,19 +67,9 @@ def make_scaled_system(level_index, level, operator, lam, beta):
     return ScaledSystem(level_index, level, operator, lam, np.sqrt(vals), beta)
 
 
-def _unwrap(sys, u):
-    if isinstance(u, NodalField):
-        if u.level_index != sys.level_index:
-            raise ValueError(
-                f"field on level {u.level_index}, system on {sys.level_index}"
-            )
-        return np.asarray(u.values, dtype=float), True
-    return np.asarray(u, dtype=float), False
-
-
 def g_apply(sys, u):
     """Apply G once; costs exactly two forward-operator applications."""
-    vals, wrap = _unwrap(sys, u)
+    vals, wrap = unwrap(u, sys.level_index)
     w = sys.level.weights
     t = sys.operator.apply(vals / sys.p)
     t = sys.operator.apply_transpose(w * t) / w
@@ -98,14 +89,7 @@ def symmetrized_g_handle(sys):
 
 def materialize_g(sys):
     """Dense matrix of G, column by column.  Small levels only."""
-    n = sys.level.n_dof
-    cols = np.empty((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        cols[:, j] = g_apply(sys, e)
-        e[j] = 0.0
-    return cols
+    return materialize_columns(lambda e: g_apply(sys, e), sys.level.n_dof)
 
 
 @dataclass
@@ -114,7 +98,6 @@ class MgPreconditioner:
 
     hierarchy: GridHierarchy
     systems: list
-    mode: str
     coarsest_solver: str
     coarsest_tol: float
     _coarse_lu: object = field(default=None, repr=False)
@@ -144,10 +127,8 @@ def build_preconditioner(
     operators,
     lam,
     beta,
-    mode="w-cycle",
     coarsest_solver="auto",
     coarsest_tol=1e-10,
-    h_cache=None,
 ):
     """Assemble the preconditioner for a given finest-level lambda.
 
@@ -156,17 +137,13 @@ def build_preconditioner(
     fine-node values; every level must keep lambda >= beta > 0.  The
     coarsest G is inverted densely (LU of its materialization) up to 2048
     dof, by unpreconditioned CG at coarsest_tol above that; "dense" or
-    "cg" force the choice.  h_cache, if given, memoizes the materialized
-    coarsest K^{*h}K across rebuilds with different lambda.
+    "cg" force the choice.  The coarsest K^{*h}K does not depend on
+    lambda and is materialized once per operator (its normal_matrix).
     """
     if len(operators) != hierarchy.n_levels:
         raise ValueError(
             f"need one operator per level: {len(operators)} vs {hierarchy.n_levels}"
         )
-    if mode not in ("two-grid", "w-cycle"):
-        raise ValueError(f"unknown preconditioner mode {mode!r}")
-    if mode == "two-grid" and hierarchy.n_levels != 2:
-        raise ValueError("two-grid mode needs exactly two levels")
     if hierarchy.n_levels < 2:
         raise ValueError("preconditioner needs at least two levels")
     finest = hierarchy.n_levels - 1
@@ -191,34 +168,19 @@ def build_preconditioner(
     lu = None
     if coarsest_solver == "dense":
         sys0 = systems[0]
-        H = None if h_cache is None else h_cache.get(id(sys0.operator))
-        if H is None:
-            # materialize K^{*h} K once; it does not depend on lambda
-            w = sys0.level.weights
-            H = np.empty((n0, n0))
-            e = np.zeros(n0)
-            for j in range(n0):
-                e[j] = 1.0
-                t = sys0.operator.apply(e)
-                H[:, j] = sys0.operator.apply_transpose(w * t) / w
-                e[j] = 0.0
-            if h_cache is not None:
-                h_cache[id(sys0.operator)] = H
         dinv = 1.0 / sys0.p
-        G0 = dinv[:, None] * H * dinv[None, :]
+        G0 = dinv[:, None] * sys0.operator.normal_matrix * dinv[None, :]
         G0[np.arange(n0), np.arange(n0)] += 1.0
         lu = sla.lu_factor(G0)
 
-    return MgPreconditioner(
-        hierarchy, systems, mode, coarsest_solver, coarsest_tol, lu
-    )
+    return MgPreconditioner(hierarchy, systems, coarsest_solver, coarsest_tol, lu)
 
 
 def two_grid_apply(mg, r):
     """S r = rough part of r plus the interpolated exact coarse solve."""
     if mg.n_levels != 2:
         raise ValueError("two_grid_apply needs a two-level preconditioner")
-    vals, wrap = _unwrap(mg.systems[1], r)
+    vals, wrap = unwrap(r, 1)
     out = _cycle(mg, vals, 1)
     return NodalField(1, out) if wrap else out
 
@@ -233,7 +195,7 @@ def mg_apply(mg, r):
     evaluates its own G (no finest-level operator applications).
     """
     finest = mg.n_levels - 1
-    vals, wrap = _unwrap(mg.systems[finest], r)
+    vals, wrap = unwrap(r, finest)
     out = _cycle(mg, vals, finest)
     return NodalField(finest, out) if wrap else out
 

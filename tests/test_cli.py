@@ -274,6 +274,19 @@ class TestMain:
         )
         assert main(["run", path]) == 2
 
+    def test_solver_failure_returns_two_with_reason(self, tmp_path, capsys):
+        # three 2D levels at the default beta: CGS stalls far above the
+        # usable residual at outer iteration 5
+        path = write_config(
+            tmp_path,
+            "experiment = elliptic-2d\nfinest_n = 64\nlevels = 3\n"
+            f"output_dir = {tmp_path}\n",
+        )
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"solver error: {path}: inner predictor solve failed")
+        assert len(err.splitlines()) == 1
+
     def test_config_errors_return_one(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
         bad = write_config(tmp_path, "experiment = parabolic-1d\nfinest = 1\n")
@@ -317,6 +330,42 @@ class TestMain:
             first = (outs[0] / name).read_bytes()
             second = (outs[1] / name).read_bytes()
             assert first == second
+
+
+class TestBoundsFile:
+    def run(self, tmp_path, rows):
+        bounds = tmp_path / "bounds.csv"
+        bounds.write_text("".join(f"{row}\n" for row in rows), encoding="utf-8")
+        path = write_config(
+            tmp_path,
+            "experiment = parabolic-1d\nfinest_n = 16\nlevels = 1\n"
+            f"bounds_file = {bounds}\noutput_dir = {tmp_path / 'out'}\n",
+        )
+        return main(["run", path]), str(bounds)
+
+    def test_valid_file_sets_nodewise_bounds(self, tmp_path):
+        hi = [0.2 if i % 2 else 0.3 for i in range(16)]
+        code, _ = self.run(tmp_path, [f"-0.1,{h}" for h in hi])
+        assert code == 0
+        _, rows = read_csv(str(tmp_path / "out" / "parabolic-1d_solution.csv"))
+        u = np.array([float(r[1]) for r in rows])
+        assert np.all(u > -0.1) and np.all(u < hi)
+        # the target peaks at 1, so the solution presses the file's upper bounds
+        assert np.any(np.abs(u - 0.2) <= 1e-6) and np.any(np.abs(u - 0.3) <= 1e-6)
+
+    def test_wrong_shape_is_a_config_error(self, tmp_path, capsys):
+        code, bounds = self.run(tmp_path, ["0,1"] * 4)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bounds}: ")
+        assert "16 rows" in err
+
+    def test_unparsable_row_is_a_config_error(self, tmp_path, capsys):
+        code, bounds = self.run(tmp_path, ["0,1"] * 7 + ["zero,1"] + ["0,1"] * 8)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bounds}: ")
+        assert "zero" in err
 
 
 class TestWorkerCount:

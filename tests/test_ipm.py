@@ -22,11 +22,15 @@ from mgipm.ipm import (
     reduce_to_scaled,
     solve,
     step_lengths,
-    symmetrized_handle,
 )
 from mgipm.krylov import LinearOperatorHandle, cg, cgs
 from mgipm.operators import DenseOperator, ParabolicConfig, ZeroOperator, parabolic_build
-from mgipm.precond import g_apply, make_scaled_system, materialize_g
+from mgipm.precond import (
+    g_apply,
+    make_scaled_system,
+    materialize_g,
+    symmetrized_g_handle,
+)
 
 
 def line_problem(n, beta, f_vals, lo=-10.0, hi=10.0):
@@ -320,7 +324,7 @@ class TestSymmetrizedHandle:
         level = build_hierarchy("periodic-interval", 48, 1).finest
         op = parabolic_build(level, ParabolicConfig())
         sys = make_scaled_system(0, level, op, NodalField(0, np.full(48, 1.5)), 1.0)
-        handle = symmetrized_handle(sys)
+        handle = symmetrized_g_handle(sys)
         u = rng.standard_normal(48)
         v = rng.standard_normal(48)
         lhs = float(handle.apply(u) @ v)
@@ -332,7 +336,7 @@ class TestSymmetrizedHandle:
         level = build_hierarchy("periodic-interval", 32, 1).finest
         op = parabolic_build(level, ParabolicConfig())
         sys = make_scaled_system(0, level, op, NodalField(0, np.full(32, 2.0)), 1.0)
-        handle = symmetrized_handle(sys)
+        handle = symmetrized_g_handle(sys)
         v = rng.standard_normal(32)
         assert_allclose(handle.apply(v), g_apply(sys, v), rtol=1e-13, atol=1e-15)
 
@@ -343,7 +347,7 @@ class TestSymmetrizedHandle:
         sys = make_scaled_system(0, level, op, NodalField(0, np.sin(x) + 1.0), 1.0)
         rhs = rng.standard_normal(64)
         sqw = np.sqrt(level.weights)
-        y, rep = cg(symmetrized_handle(sys), sqw * rhs, tol=1e-12)
+        y, rep = cg(symmetrized_g_handle(sys), sqw * rhs, tol=1e-12)
         assert rep.converged
         via_cg = y / sqw
         gh = LinearOperatorHandle(64, lambda v: g_apply(sys, v))
@@ -416,6 +420,31 @@ class TestSolve:
         assert [rec.iteration for rec in result.records] == list(
             range(1, len(result.records) + 1)
         )
+
+    def test_mu_final_is_the_duality_measure_of_the_result(self, parabolic_run):
+        prob, result = parabolic_run
+        state = IpmState(result.u, result.v1, result.v2, result.mu_final,
+                         len(result.records))
+        assert result.mu_final == compute_mu(state, prob.lo, prob.hi)
+
+    def test_coarse_normal_matrix_is_materialized_once(self):
+        hier = build_hierarchy("periodic-interval", 64, 3)
+        ops = [parabolic_build(lv, ParabolicConfig(), level_index=i)
+               for i, lv in enumerate(hier.levels)]
+        x = node_coordinates(hier.finest)
+        f = ops[-1].apply(two_bump_target(x))
+        prob = ControlProblem(hier, ops, NodalField(2, f), 1e-3,
+                              NodalField(2, np.zeros(256)),
+                              NodalField(2, np.ones(256)))
+        result = solve(prob, IpmOptions(coarsest_solver="dense"))
+        assert result.converged and len(result.records) > 1
+        # one apply and one transpose per coarse column, then never again:
+        # the dense coarse solve and the cycle touch no level-0 operator
+        n0 = hier.levels[0].n_dof
+        assert ops[0].matvec_counter == 2 * n0
+        ipm_mod.build_preconditioner(hier, ops, NodalField(2, np.full(256, 3.0)),
+                                     1e-3, coarsest_solver="dense")
+        assert ops[0].matvec_counter == 2 * n0
 
     def test_preconditioner_built_once_per_outer(self, monkeypatch):
         hier = build_hierarchy("periodic-interval", 128, 2)

@@ -136,10 +136,6 @@ class TestBuildPreconditioner:
         ops3 = parabolic_chain(hier3)
         lam3 = sine_lambda(hier3, 1.0)
         with pytest.raises(ValueError):
-            build_preconditioner(hier3, ops3, lam3, beta=1.0, mode="two-grid")
-        with pytest.raises(ValueError):
-            build_preconditioner(hier3, ops3, lam3, beta=1.0, mode="v-cycle")
-        with pytest.raises(ValueError):
             build_preconditioner(hier3, ops3[:2], lam3, beta=1.0)
         hier1 = build_hierarchy("periodic-interval", 40, 1)
         with pytest.raises(ValueError):
@@ -154,14 +150,14 @@ class TestTwoGridApply:
     def test_vanishing_operator_returns_residual(self, rng):
         hier = build_hierarchy("periodic-interval", 16, 2)
         ops = [ZeroOperator(i, lv) for i, lv in enumerate(hier.levels)]
-        mg = build_preconditioner(hier, ops, NodalField(1, np.ones(32)), 1.0, mode="two-grid")
+        mg = build_preconditioner(hier, ops, NodalField(1, np.ones(32)), 1.0)
         r = rng.standard_normal(32)
         assert_allclose(two_grid_apply(mg, r), r, rtol=1e-10, atol=1e-12)
 
     def test_rough_residuals_pass_through(self, rng):
         hier = build_hierarchy("periodic-interval", 40, 2)
         mg = build_preconditioner(
-            hier, parabolic_chain(hier), sine_lambda(hier, 1.0), 1.0, mode="two-grid"
+            hier, parabolic_chain(hier), sine_lambda(hier, 1.0), 1.0
         )
         raw = rng.standard_normal(80)
         coarse = l2_project(hier, NodalField(1, raw))
@@ -171,7 +167,7 @@ class TestTwoGridApply:
     def test_approximates_the_inverse(self, rng):
         hier = build_hierarchy("periodic-interval", 80, 2)
         mg = build_preconditioner(
-            hier, parabolic_chain(hier), sine_lambda(hier, 1.0), 1.0, mode="two-grid"
+            hier, parabolic_chain(hier), sine_lambda(hier, 1.0), 1.0
         )
         sys = mg.systems[1]
         for _ in range(3):
