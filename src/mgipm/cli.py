@@ -185,8 +185,13 @@ def _bounds(cfg, n, default_lo, default_hi):
             raise ConfigError(
                 f"{path}: bounds_file must hold {n} rows of lo,hi; got {data.shape}"
             )
+        if not np.all(np.isfinite(data)):
+            raise ConfigError(f"{path}: bounds must be finite")
         lo, hi = data[:, 0].copy(), data[:, 1].copy()
     else:
+        for key in ("lo", "hi"):
+            if key in cfg and not np.isfinite(cfg[key]):
+                raise ConfigError(f"{key} must be finite, got {cfg[key]}")
         lo = np.full(n, cfg.get("lo", default_lo))
         hi = np.full(n, cfg.get("hi", default_hi))
     if not np.all(lo < hi):

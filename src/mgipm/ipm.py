@@ -359,6 +359,9 @@ def solve(prob, opts=None):
         rhs_c = reduce_to_scaled(prob, state, r_u, r_v1c, r_v2c).rhs
         du, rep_corr = _checked(inner, rhs_c, it, "corrector")
         _, dv1, dv2 = recover_full_step(state, du, r_v1c, r_v2c, lo, hi)
+        # release this iteration's preconditioner (its coarse factorization)
+        # before the next one is built
+        del inner
         alpha_p, alpha_d = step_lengths(state, du, dv1, dv2, lo, hi, opts.step_fraction)
 
         state = IpmState(NodalField(finest, u + alpha_p * du),

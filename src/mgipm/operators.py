@@ -44,6 +44,10 @@ __all__ = [
 class ForwardOperator:
     """Base class: counts every apply, accepts fields or raw value arrays."""
 
+    # an operator whose K^{*h}K has exact low-rank structure overrides this
+    # with an n_dof x r matrix F, K^{*h}K = F F^T (see ParabolicOperator)
+    normal_factor = None
+
     def __init__(self, level_index, level):
         self.level_index = level_index
         self.level = level
@@ -160,6 +164,30 @@ class ParabolicOperator(ForwardOperator):
         s_hat = np.conj(np.fft.fft(self._s_row))
         step = (m_hat - 0.5 * self.dt * s_hat) / (m_hat + 0.5 * self.dt * s_hat)
         return step**self.n_steps
+
+    @cached_property
+    def normal_factor(self):
+        """n x r matrix F with K^{*h}K = F F^T to roundoff; no operator applies.
+
+        The weights are uniform, so K^{*h}K = K^T K, the circulant with
+        eigenvalues |symbol|^2.  Its real Fourier expansion has a constant
+        column, a cos/sin pair per frequency 0 < k < n/2 and, for even n, a
+        Nyquist column.  Modes at or below eps * max|symbol|^2 are dropped,
+        which changes K^{*h}K by at most that much.  Both methods evaluate
+        the same matrix power, so both share the factor.  Read-only.
+        """
+        n = self.level.n_dof
+        lam = np.abs(self._symbol) ** 2
+        # a real K has lam[k] == lam[-k]; average away the roundoff
+        lam = 0.5 * (lam + np.roll(lam[::-1], 1))
+        keep = np.flatnonzero(lam[: n // 2 + 1] > np.finfo(float).eps * lam.max())
+        paired = (keep > 0) & (2 * keep < n)
+        scale = np.sqrt(np.where(paired, 2.0, 1.0) * lam[keep] / n)
+        # integer phases keep the angles exact before the one rounding
+        angle = (2.0 * np.pi / n) * (np.outer(np.arange(n), keep) % n)
+        f = np.hstack([np.cos(angle) * scale, np.sin(angle[:, paired]) * scale[paired]])
+        f.flags.writeable = False
+        return f
 
     @cached_property
     def _step_factors(self):

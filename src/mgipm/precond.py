@@ -14,6 +14,7 @@ procedurally as two recursive corrections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -100,7 +101,7 @@ class MgPreconditioner:
     systems: list
     coarsest_solver: str
     coarsest_tol: float
-    _coarse_lu: object = field(default=None, repr=False)
+    _coarse_inverse: object = field(default=None, repr=False)
     coarse_cg_iterations: int = 0
 
     @property
@@ -108,8 +109,8 @@ class MgPreconditioner:
         return len(self.systems)
 
     def coarse_solve(self, r):
-        if self._coarse_lu is not None:
-            return sla.lu_solve(self._coarse_lu, r)
+        if self._coarse_inverse is not None:
+            return self._coarse_inverse(r)
         sys0 = self.systems[0]
         sqw = np.sqrt(sys0.level.weights)
         handle = symmetrized_g_handle(sys0)
@@ -134,11 +135,17 @@ def build_preconditioner(
 
     operators lists one forward operator per hierarchy level, coarsest
     first.  lam lives on the finest level and is moved down by discarding
-    fine-node values; every level must keep lambda >= beta > 0.  The
-    coarsest G is inverted densely (LU of its materialization) up to 2048
-    dof, by unpreconditioned CG at coarsest_tol above that; "dense" or
-    "cg" force the choice.  The coarsest K^{*h}K does not depend on
-    lambda and is materialized once per operator (its normal_matrix).
+    fine-node values; every level must keep lambda >= beta > 0.
+
+    "dense" inverts the coarsest G exactly to roundoff.  When the coarsest
+    operator has a normal_factor F (K^{*h}K = F F^T, rank r), that is the
+    Woodbury identity on G = I + B B^T with B = D_{1/p} F: a Cholesky
+    factor of I_r + B^T B per call, O(n0 r^2), and O(n0 r) per solve.
+    Otherwise G is assembled from the operator's normal_matrix (K^{*h}K,
+    materialized once per operator since it does not depend on lambda)
+    and LU-factored.  "cg" runs unpreconditioned CG at coarsest_tol.
+    "auto" picks "dense" whenever there is a factor, and otherwise up to
+    DENSE_COARSE_LIMIT coarsest dof, "cg" above that.
     """
     if len(operators) != hierarchy.n_levels:
         raise ValueError(
@@ -159,21 +166,30 @@ def build_preconditioner(
         for i in range(hierarchy.n_levels)
     ]
 
-    n0 = hierarchy.levels[0].n_dof
+    sys0 = systems[0]
     if coarsest_solver == "auto":
-        coarsest_solver = "dense" if n0 <= DENSE_COARSE_LIMIT else "cg"
+        exact = (sys0.operator.normal_factor is not None
+                 or sys0.level.n_dof <= DENSE_COARSE_LIMIT)
+        coarsest_solver = "dense" if exact else "cg"
     if coarsest_solver not in ("dense", "cg"):
         raise ValueError(f"unknown coarsest solver {coarsest_solver!r}")
 
-    lu = None
-    if coarsest_solver == "dense":
-        sys0 = systems[0]
-        dinv = 1.0 / sys0.p
-        G0 = dinv[:, None] * sys0.operator.normal_matrix * dinv[None, :]
-        G0[np.arange(n0), np.arange(n0)] += 1.0
-        lu = sla.lu_factor(G0)
+    inverse = _exact_inverse(sys0) if coarsest_solver == "dense" else None
+    return MgPreconditioner(hierarchy, systems, coarsest_solver, coarsest_tol, inverse)
 
-    return MgPreconditioner(hierarchy, systems, coarsest_solver, coarsest_tol, lu)
+
+def _exact_inverse(sys):
+    """r -> G^{-1} r for one level, exact to roundoff (see build_preconditioner)."""
+    factor = sys.operator.normal_factor
+    if factor is not None:
+        b = factor / sys.p[:, None]
+        core = sla.cho_factor(np.eye(b.shape[1]) + b.T @ b)
+        return lambda r: r - b @ sla.cho_solve(core, b.T @ r)
+    n = sys.level.n_dof
+    dinv = 1.0 / sys.p
+    G = dinv[:, None] * sys.operator.normal_matrix * dinv[None, :]
+    G[np.arange(n), np.arange(n)] += 1.0
+    return partial(sla.lu_solve, sla.lu_factor(G))
 
 
 def two_grid_apply(mg, r):

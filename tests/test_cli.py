@@ -292,6 +292,18 @@ class TestMain:
         bad = write_config(tmp_path, "experiment = parabolic-1d\nfinest = 1\n")
         assert main(["run", bad]) == 1
 
+    @pytest.mark.parametrize("key, value", [("lo", "-inf"), ("hi", "inf")])
+    def test_infinite_bound_is_a_config_error(self, tmp_path, capsys, key, value):
+        path = write_config(
+            tmp_path,
+            "experiment = parabolic-1d\nfinest_n = 8\nlevels = 1\n"
+            f"{key} = {value}\noutput_dir = {tmp_path}\n",
+        )
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"config error: {key} must be finite")
+        assert len(err.splitlines()) == 1
+
     def test_config_error_outranks_nonconvergence(self, tmp_path):
         good = write_config(
             tmp_path,
@@ -366,6 +378,14 @@ class TestBoundsFile:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {bounds}: ")
         assert "zero" in err
+
+
+    def test_infinite_row_is_a_config_error(self, tmp_path, capsys):
+        code, bounds = self.run(tmp_path, ["0,1"] * 3 + ["-inf,1"] + ["0,1"] * 12)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bounds}: ")
+        assert "finite" in err
 
 
 class TestWorkerCount:

@@ -431,20 +431,27 @@ class TestSolve:
         hier = build_hierarchy("periodic-interval", 64, 3)
         ops = [parabolic_build(lv, ParabolicConfig(), level_index=i)
                for i, lv in enumerate(hier.levels)]
+        n0 = hier.levels[0].n_dof
+        k0 = parabolic_build(hier.levels[0], ParabolicConfig())
+        dense = DenseOperator(0, hier.levels[0],
+                              np.column_stack([k0.apply(e) for e in np.eye(n0)]))
         x = node_coordinates(hier.finest)
         f = ops[-1].apply(two_bump_target(x))
-        prob = ControlProblem(hier, ops, NodalField(2, f), 1e-3,
-                              NodalField(2, np.zeros(256)),
-                              NodalField(2, np.ones(256)))
-        result = solve(prob, IpmOptions(coarsest_solver="dense"))
-        assert result.converged and len(result.records) > 1
-        # one apply and one transpose per coarse column, then never again:
-        # the dense coarse solve and the cycle touch no level-0 operator
-        n0 = hier.levels[0].n_dof
-        assert ops[0].matvec_counter == 2 * n0
-        ipm_mod.build_preconditioner(hier, ops, NodalField(2, np.full(256, 3.0)),
-                                     1e-3, coarsest_solver="dense")
-        assert ops[0].matvec_counter == 2 * n0
+        # the parabolic coarse solve uses its normal_factor and applies no
+        # level-0 operator; without a factor, one apply and one transpose
+        # per coarse column, then never again: the dense coarse solve and
+        # the cycle touch no level-0 operator
+        for coarse, applies in ((ops[0], 0), (dense, 2 * n0)):
+            chain = [coarse] + ops[1:]
+            prob = ControlProblem(hier, chain, NodalField(2, f), 1e-3,
+                                  NodalField(2, np.zeros(256)),
+                                  NodalField(2, np.ones(256)))
+            result = solve(prob, IpmOptions(coarsest_solver="dense"))
+            assert result.converged and len(result.records) > 1
+            assert coarse.matvec_counter == applies
+            ipm_mod.build_preconditioner(hier, chain, NodalField(2, np.full(256, 3.0)),
+                                         1e-3, coarsest_solver="dense")
+            assert coarse.matvec_counter == applies
 
     def test_preconditioner_built_once_per_outer(self, monkeypatch):
         hier = build_hierarchy("periodic-interval", 128, 2)

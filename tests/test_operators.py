@@ -84,6 +84,31 @@ def square_64():
     return level, elliptic_build(level)
 
 
+class TestNormalFactor:
+    # 8 cells keep every mode, so the Nyquist column (even n) is in the factor
+    @pytest.mark.parametrize("method", ["spectral", "stepping"])
+    @pytest.mark.parametrize("n", [8, 9, 64, 63])
+    def test_reproduces_the_materialized_normal_matrix(self, method, n):
+        level = build_hierarchy("periodic-interval", n, 1).finest
+        op = parabolic_build(level, ParabolicConfig(method=method))
+        F = op.normal_factor
+        assert op.matvec_counter == 0
+        if n < 10:
+            assert F.shape == (n, n)
+        H = op.normal_matrix
+        assert np.max(np.abs(F @ F.T - H)) <= 1e-14 * np.max(np.abs(H))
+
+    def test_is_low_rank_on_a_fine_coarsest_level(self, line_1024):
+        F = parabolic_build(line_1024, ParabolicConfig()).normal_factor
+        assert F.shape[0] == 1024 and F.shape[1] <= 64
+        assert not F.flags.writeable
+
+    def test_absent_where_there_is_no_circulant_structure(self, square_64):
+        level, op = square_64
+        assert op.normal_factor is None
+        assert ZeroOperator(0, level).normal_factor is None
+
+
 class TestEllipticBuild:
     def test_separable_eigenfunction(self, square_64):
         level, op = square_64

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mgipm.grid import NodalField, build_hierarchy, inner_h, l2_project, node_coordinates, prolong
-from mgipm.operators import ParabolicConfig, ZeroOperator, parabolic_build
+from mgipm.operators import DenseOperator, ParabolicConfig, ZeroOperator, parabolic_build
 from mgipm.precond import (
     build_preconditioner,
     g_apply,
@@ -130,6 +130,45 @@ class TestBuildPreconditioner:
             )
             outs.append(mg_apply(mg, r))
         assert np.linalg.norm(outs[0] - outs[1]) <= 1e-9 * np.linalg.norm(outs[0])
+
+    def test_auto_keeps_the_exact_solve_above_the_dense_limit(self, rng):
+        # n0 = 2304 > DENSE_COARSE_LIMIT, but the parabolic normal_factor
+        # makes the exact coarse solve cheap at any size
+        hier = build_hierarchy("periodic-interval", 2304, 2)
+        lam = sine_lambda(hier, 1.0)
+        r = rng.standard_normal(4608)
+        ops = parabolic_chain(hier)
+        auto = build_preconditioner(hier, ops, lam, beta=1.0)
+        ref = mg_apply(build_preconditioner(
+            hier, parabolic_chain(hier), lam, beta=1.0, coarsest_solver="cg"), r)
+        out = mg_apply(auto, r)
+        assert auto.coarsest_solver == "dense" and auto.coarse_cg_iterations == 0
+        assert ops[0].matvec_counter == 0
+        assert np.linalg.norm(out - ref) <= 1e-9 * np.linalg.norm(out)
+
+    @pytest.mark.parametrize("method", ["spectral", "stepping"])
+    def test_low_rank_coarse_solve_is_exact(self, rng, method):
+        hier = build_hierarchy("periodic-interval", 64, 2)
+        ops = [parabolic_build(lv, ParabolicConfig(method=method), level_index=i)
+               for i, lv in enumerate(hier.levels)]
+        mg = build_preconditioner(hier, ops, sine_lambda(hier, 1e-3), beta=1e-3)
+        r = rng.standard_normal(64)
+        z = mg.coarse_solve(r)
+        # the factor path materializes nothing: no level-0 applies so far
+        assert ops[0].matvec_counter == 0
+        ref = np.linalg.solve(materialize_g(mg.systems[0]), r)
+        assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_coarse_solve_without_factor_is_exact(self, rng):
+        hier = build_hierarchy("periodic-interval", 64, 2)
+        ops = parabolic_chain(hier)
+        k0 = np.column_stack([ops[0].apply(col) for col in np.eye(64)])
+        ops[0] = DenseOperator(0, hier.levels[0], k0)
+        mg = build_preconditioner(hier, ops, sine_lambda(hier, 1e-3), beta=1e-3)
+        assert ops[0].matvec_counter == 2 * 64
+        r = rng.standard_normal(64)
+        ref = np.linalg.solve(materialize_g(mg.systems[0]), r)
+        assert np.linalg.norm(mg.coarse_solve(r) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_rejects_bad_setups(self):
         hier3 = build_hierarchy("periodic-interval", 40, 3)
