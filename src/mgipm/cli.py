@@ -21,12 +21,7 @@ import numpy as np
 from mgipm.diagnostics import spectral_distance_table
 from mgipm.grid import NodalField, build_hierarchy, node_coordinates
 from mgipm.ipm import ControlProblem, IpmOptions, solve
-from mgipm.operators import (
-    EllipticConfig,
-    ParabolicConfig,
-    elliptic_build,
-    parabolic_build,
-)
+from mgipm.operators import ParabolicConfig, elliptic_build, parabolic_build
 
 __all__ = [
     "ConfigError",
@@ -70,9 +65,6 @@ _SCHEMA = {
     "T": float,
     "c1": float,
     "method": str,
-    "inner_solver": str,
-    "inner_tol": float,
-    "factor_max_cells": int,
     "mu_tol": float,
     "resid_tol": float,
     "max_outer": int,
@@ -290,13 +282,7 @@ def run_elliptic(cfg):
     """
     cfg.setdefault("mu_tol", 1e-15)
     hier, finest_n, levels = _hierarchy(cfg, "dirichlet-square", 64)
-    op_cfg = EllipticConfig(
-        inner_solver=cfg.get("inner_solver", "auto"),
-        inner_tol=cfg.get("inner_tol", 1e-12),
-        factor_max_cells=cfg.get("factor_max_cells", 512),
-    )
-    ops = [elliptic_build(lv, op_cfg, level_index=i)
-           for i, lv in enumerate(hier.levels)]
+    ops = [elliptic_build(lv, level_index=i) for i, lv in enumerate(hier.levels)]
     finest = hier.finest
     x, y = node_coordinates(finest)
     u0 = 1.5 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)

@@ -89,6 +89,11 @@ class IpmState:
     iteration: int
 
 
+# Mehrotra's centering parameter (mu_aff / mu)^3 is clipped to this range
+_SIGMA_MIN = 1e-8
+_SIGMA_MAX = 1.0
+
+
 @dataclass
 class IpmOptions:
     """Solver knobs; the defaults are the conventions used throughout."""
@@ -101,8 +106,6 @@ class IpmOptions:
     krylov_maxit: int = 500
     coarsest_solver: str = "auto"
     coarsest_tol: float = 1e-10
-    sigma_min: float = 1e-8
-    sigma_max: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.step_fraction < 1.0:
@@ -351,7 +354,7 @@ def solve(prob, opts=None):
             (g1 + ap * du_a) @ (v1 + ad * dv1_a)
             + (g2 - ap * du_a) @ (v2 + ad * dv2_a)
         ) / (2.0 * n)
-        sigma = min(opts.sigma_max, max(opts.sigma_min, (mu_aff / mu) ** 3))
+        sigma = min(_SIGMA_MAX, max(_SIGMA_MIN, (mu_aff / mu) ** 3))
 
         # corrector: same matrix, centered rhs minus the affine cross terms
         r_v1c = sigma * mu - v1 * g1 - du_a * dv1_a

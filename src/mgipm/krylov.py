@@ -109,15 +109,23 @@ def cgs(op, precond, b, tol=1e-8, maxit=500):
     reported.
 
     Breakdown of the rho inner product triggers a single restart from the
-    current iterate; a second breakdown raises KrylovBreakdown.  The
-    divergence guard returns converged=False once the residual has stayed
-    above 1e4 * ||b|| for 20 consecutive iterations; a single crossing is
-    tolerated because the squared residual polynomial routinely spikes by
-    about the square of the largest preconditioned eigenvalue before
-    settling, and such runs still converge.
+    current iterate; a second breakdown raises KrylovBreakdown.  When the
+    explicit residual refutes the recurrence's claim of convergence, CGS
+    also restarts from the current iterate with that residual, since the
+    old directions no longer describe it.  The divergence guard returns
+    converged=False once the residual has stayed above 1e4 * ||b|| for 20
+    consecutive iterations; a single crossing is tolerated because the
+    squared residual polynomial routinely spikes by about the square of the
+    largest preconditioned eigenvalue before settling, and such runs still
+    converge.
+
+    An unconverged run returns the iterate with the smallest residual seen
+    (the zero start included), together with its explicitly computed
+    residual.
 
     Returns (x, KrylovReport).  Two operator applies per iteration, plus one
-    for the final confirmation, all counted in the report.
+    per explicit residual (each confirmation, restart and unconverged
+    exit), all counted in the report.
     """
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
@@ -135,6 +143,7 @@ def cgs(op, precond, b, tol=1e-8, maxit=500):
     u = p = q = None
     tiny = np.finfo(float).tiny
     above_guard = 0
+    x_best, rel_best = x, rel
     while iterations < maxit:
         rho = float(rtilde @ r)
         if abs(rho) < tiny * max(1.0, bnorm * bnorm):
@@ -191,10 +200,19 @@ def cgs(op, precond, b, tol=1e-8, maxit=500):
                 converged = True
                 break
             r = r_true
+            rtilde = r.copy()
+            rho_prev = 0.0
+            u = p = q = None
+        if rel < rel_best:
+            x_best, rel_best = x, rel
         if rel > 1e4:
             above_guard += 1
             if above_guard >= 20 or not np.isfinite(rel):
                 break
         else:
             above_guard = 0
+    if not converged:
+        x = x_best
+        rel = np.linalg.norm(b - op.apply(x)) / bnorm
+        matvecs += 1
     return x, KrylovReport(iterations, float(rel), converged, matvecs)

@@ -26,7 +26,7 @@ from mgipm.grid import (
     prolong,
     unwrap,
 )
-from mgipm.krylov import LinearOperatorHandle, cg, materialize_columns
+from mgipm.krylov import materialize_columns
 
 __all__ = [
     "ForwardOperator",
@@ -240,59 +240,40 @@ def parabolic_build(level, config=None, level_index=0):
 
 @dataclass(frozen=True)
 class EllipticConfig:
-    """Options for the inner Dirichlet solve of the 2D solution map.
+    """Options of the 2D solution map: there are none.
 
-    inner_solver "auto" factorizes the stiffness matrix up to
-    factor_max_cells cells per side and falls back to CG above that;
-    "direct-factorization" and "cg" force the choice.
+    The stiffness solve is exact (see EllipticOperator), so nothing is
+    left to tune.  The class stays so that callers build both operator
+    families alike.
     """
-
-    inner_solver: str = "auto"
-    inner_tol: float = 1e-12
-    factor_max_cells: int = 512
-
-    def validate(self):
-        if self.inner_solver not in ("auto", "direct-factorization", "cg"):
-            raise ValueError(f"unknown inner solver {self.inner_solver!r}")
-        if self.inner_solver != "direct-factorization" and self.inner_tol > 1e-12:
-            raise ValueError(
-                f"cg inner tolerance must be <= 1e-12, got {self.inner_tol}"
-            )
 
 
 class EllipticOperator(ForwardOperator):
-    """K u = y solving the five-point system A y = -M u (so K = -A^{-1} M)."""
+    """K u = y solving the five-point system A y = -M u (so K = -A^{-1} M).
 
-    def __init__(self, level_index, level, config):
+    On the m = n - 1 interior lines A = T (x) I + I (x) T with
+    T = tridiag(-1, 2, -1); the diagonal neighbors of the three-line
+    triangulation carry no stiffness coupling.  The orthonormal sine matrix
+    S_jk = sqrt(2/n) sin(pi j k / n) diagonalizes T, so on the m x m array of
+    nodal values A^{-1} X = S ((S X S) / Lambda) S with
+    Lambda_jk = t_j + t_k, t_k = 2 - 2 cos(pi k / n).
+    """
+
+    def __init__(self, level_index, level):
         super().__init__(level_index, level)
-        self.config = config
         n = level.n_cells
-        self.stiffness = _stiffness_dirichlet(n)
+        k = np.arange(1, n)
+        # integer phases reduced mod 2n keep the angles exact before rounding
+        self._sine = np.sqrt(2.0 / n) * np.sin(np.pi / n * (np.outer(k, k) % (2 * n)))
+        t = 2.0 - 2.0 * np.cos(np.pi / n * k)
+        self._eig = t[:, None] + t[None, :]
         # full (unrescaled) consistent mass = h^2 times the stored one
         self.mass_full = (level.h**2) * level.mass_matrix
-        if config.inner_solver == "cg":
-            self._use_lu = False
-        elif config.inner_solver == "direct-factorization":
-            self._use_lu = True
-        else:
-            self._use_lu = n <= config.factor_max_cells
-
-    @cached_property
-    def _stiff_lu(self):
-        return splu(self.stiffness.tocsc())
 
     def _solve_stiffness(self, rhs):
-        if self._use_lu:
-            return self._stiff_lu.solve(rhs)
-        handle = LinearOperatorHandle(rhs.size, lambda v: self.stiffness @ v)
-        y, report = cg(
-            handle, rhs, tol=self.config.inner_tol, maxit=20 * self.level.n_cells
-        )
-        if not report.converged:
-            raise RuntimeError(
-                f"inner Poisson CG stalled at {report.final_relative_residual:.2e}"
-            )
-        return y
+        s = self._sine
+        x = rhs.reshape(s.shape)
+        return (s @ ((s @ x @ s) / self._eig) @ s).ravel()
 
     def _apply(self, u):
         return -self._solve_stiffness(self.mass_full @ u)
@@ -302,35 +283,15 @@ class EllipticOperator(ForwardOperator):
         return -(self.mass_full @ self._solve_stiffness(u))
 
 
-def _stiffness_dirichlet(n):
-    # five-point stencil {4, -1}; on the three-line triangulation the
-    # diagonal neighbors carry no stiffness coupling
-    m = n - 1
-    ix, iy = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    idx = (ix * m + iy).ravel()
-    rows = [idx]
-    cols = [idx]
-    vals = [np.full(idx.size, 4.0)]
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        jx = ix + dx
-        jy = iy + dy
-        ok = ((jx >= 0) & (jx < m) & (jy >= 0) & (jy < m)).ravel()
-        rows.append(idx[ok])
-        cols.append((jx * m + jy).ravel()[ok])
-        vals.append(np.full(ok.sum(), -1.0))
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m * m, m * m),
-    ).tocsr()
-
-
 def elliptic_build(level, config=None, level_index=0):
-    """Build the Poisson solution map on a Dirichlet square level."""
-    config = config or EllipticConfig()
-    config.validate()
+    """Build the Poisson solution map on a Dirichlet square level.
+
+    config is an EllipticConfig, which holds no options; level_index is as
+    in parabolic_build.
+    """
     if level.kind != KIND_DIRICHLET:
         raise ValueError("elliptic operator requires a dirichlet-square level")
-    return EllipticOperator(level_index, level, config)
+    return EllipticOperator(level_index, level)
 
 
 def adjoint_h_apply(op, u):

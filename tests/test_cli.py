@@ -81,6 +81,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="beta"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("inner_solver", "cg"), ("inner_tol", "1e-12"), ("factor_max_cells", "512"),
+    ])
+    def test_removed_elliptic_solver_keys_are_unknown(self, tmp_path, key, value):
+        # the stiffness solve is exact, so it has no options left
+        path = write_config(
+            tmp_path, f"experiment = elliptic-2d\n{key} = {value}\n"
+        )
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(path)
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(str(tmp_path / "missing.cfg"))
@@ -182,6 +193,13 @@ class TestRunParabolic:
             totals[levels] = int(rows[0][5])
         assert totals[2] < totals[1]
 
+    def test_three_levels_converge_on_a_small_grid(self, tmp_path):
+        # n0 = 32: CGS must restart once its explicit residual refutes the recurrence
+        cfg = {"experiment": "parabolic-1d", "finest_n": 128, "levels": 3,
+               "output_dir": str(tmp_path)}
+        _, converged = run_parabolic(cfg)
+        assert converged
+
     def test_collapsed_bounds_are_a_config_error(self, tmp_path):
         cfg = {"experiment": "parabolic-1d", "finest_n": 128, "levels": 1,
                "lo": 0.5, "hi": 0.5, "output_dir": str(tmp_path)}
@@ -207,6 +225,13 @@ class TestRunElliptic:
         assert np.all(u >= -1.0 - 1e-6) and np.all(u <= 1.0 + 1e-6)
         assert np.count_nonzero(u > 1.0 - 1e-6) > 0
         assert np.count_nonzero(u < -1.0 + 1e-6) > 0
+
+    def test_two_levels_converge_on_the_smallest_grid(self, tmp_path):
+        # 16 coarse cells per side at the default beta, no noise
+        cfg = {"experiment": "elliptic-2d", "finest_n": 32, "levels": 2,
+               "output_dir": str(tmp_path)}
+        _, converged = run_elliptic(cfg)
+        assert converged
 
     def test_heavy_regularization_flattens_the_control(self, tmp_path):
         cfg = {"experiment": "elliptic-2d", "finest_n": 64, "levels": 2,
@@ -275,11 +300,11 @@ class TestMain:
         assert main(["run", path]) == 2
 
     def test_solver_failure_returns_two_with_reason(self, tmp_path, capsys):
-        # three 2D levels at the default beta: CGS stalls far above the
-        # usable residual at outer iteration 5
+        # three 2D levels at the default beta on the smallest ladder: the
+        # inner solve ends far above the usable residual at outer iteration 5
         path = write_config(
             tmp_path,
-            "experiment = elliptic-2d\nfinest_n = 64\nlevels = 3\n"
+            "experiment = elliptic-2d\nfinest_n = 32\nlevels = 3\n"
             f"output_dir = {tmp_path}\n",
         )
         assert main(["run", path]) == 2

@@ -18,6 +18,27 @@ def counted_handle(matrix):
     return LinearOperatorHandle(matrix.shape[0], apply), counter
 
 
+def textbook_cgs(A, b, steps):
+    """Unpreconditioned CGS from a zero start; returns the last iterate."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    rtilde = r.copy()
+    u = r.copy()
+    p = r.copy()
+    rho = rtilde @ r
+    for _ in range(steps):
+        v = A @ p
+        alpha = rho / (rtilde @ v)
+        q = u - alpha * v
+        x = x + alpha * (u + q)
+        r = r - alpha * (A @ (u + q))
+        rho, rho_old = rtilde @ r, rho
+        beta = rho / rho_old
+        u = r + beta * q
+        p = u + beta * (q + beta * p)
+    return x
+
+
 def spd_matrix(n, rng):
     A = rng.standard_normal((n, n))
     return A.T @ A + np.eye(n)
@@ -120,6 +141,24 @@ class TestCgs:
         assert report.converged
         assert report.matvecs == 2 * report.iterations + 1
         assert counter["n"] == report.matvecs
+
+    def test_unconverged_run_returns_its_best_iterate(self):
+        # indefinite and nonnormal: the CGS residual falls for two steps,
+        # then swings up by orders of magnitude
+        n, steps = 12, 10
+        A = np.diag(np.linspace(-1.0, 1.0, n) + 0.05) + np.triu(np.ones((n, n)), 1)
+        b = np.ones(n)
+        op, counter = counted_handle(A)
+        precond = LinearOperatorHandle(n, lambda r: r)
+        x, report = cgs(op, precond, b, tol=1e-14, maxit=steps)
+        assert not report.converged
+        assert report.iterations == steps
+        true = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+        assert report.final_relative_residual == pytest.approx(true, rel=1e-12)
+        last = textbook_cgs(A, b, steps)
+        assert true <= np.linalg.norm(b - A @ last) / np.linalg.norm(b)
+        # the best iterate's residual costs one apply on top of two per step
+        assert report.matvecs == 2 * steps + 1 == counter["n"]
 
     def test_costs_double_cg_per_iteration(self, rng):
         # same system, same tolerance: CGS burns two applies where CG burns

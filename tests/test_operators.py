@@ -1,15 +1,17 @@
 """Forward maps: heat-type propagator, elliptic solve, weighted adjoints.
 
 The propagator is checked against closed-form Fourier decay, the elliptic
-map against a separable eigenfunction, and the adjoints against dense
-transposes.
+map against a separable eigenfunction and the assembled dense -A^{-1} M,
+and the adjoints against dense transposes.
 """
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import mass_matrix_dirichlet, stiffness_matrix_dirichlet
 from mgipm.grid import NodalField, build_hierarchy, inner_h, mass_apply, node_coordinates
+from mgipm.krylov import materialize_columns
 from mgipm.operators import (
     EllipticConfig,
     ParabolicConfig,
@@ -143,11 +145,16 @@ class TestEllipticBuild:
             val = float(mass_apply(level, op.apply(u)) @ u)
             assert val < 0
 
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            EllipticConfig(inner_solver="cg", inner_tol=1e-6).validate()
-        with pytest.raises(ValueError):
-            EllipticConfig(inner_solver="gauss").validate()
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_matches_dense_oracle(self, n):
+        # K = -A^{-1} M with A and M assembled element by element
+        level = build_hierarchy("dirichlet-square", n, 1).finest
+        op = elliptic_build(level, EllipticConfig())
+        A = stiffness_matrix_dirichlet(n).toarray()
+        K = -np.linalg.solve(A, mass_matrix_dirichlet(n).toarray())
+        for apply, expected in ((op.apply, K), (op.apply_transpose, K.T)):
+            got = materialize_columns(apply, level.n_dof)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestAdjointH:
