@@ -83,12 +83,8 @@ def two_grid_cell(op_builder, lambda_rule, n_cells, beta):
     g = materialize_g(sys_f)
     g2 = materialize_g(sys_c)
     nf, nc = fine.n_dof, coarse.n_dof
-    j = np.column_stack(
-        [prolong(hier, NodalField(0, col)).values for col in np.eye(nc)]
-    )
-    pi = np.column_stack(
-        [l2_project(hier, NodalField(1, col)).values for col in np.eye(nf)]
-    )
+    j = prolong(hier, NodalField(0, np.eye(nc))).values
+    pi = l2_project(hier, NodalField(1, np.eye(nf))).values
     n_mat = (np.eye(nf) - j @ pi) + j @ g2 @ pi
     return hier, g, n_mat
 

@@ -133,6 +133,14 @@ class GridHierarchy:
                 out.append(_prolong_matrix_dirichlet(lv.n_cells))
         return tuple(out)
 
+    @cached_property
+    def _restrictions(self):
+        # 2^{-d} J^T from level i+1 to level i, built once as CSR
+        return tuple(
+            (0.5 ** lv.dim * J.T).tocsr()
+            for lv, J in zip(self.levels[1:], self._prolongations)
+        )
+
 
 def build_hierarchy(kind, n0_cells, n_levels):
     """Build n_levels nested grids starting from n0_cells on the coarsest.
@@ -193,7 +201,8 @@ def prolong(hierarchy, u):
 
     Coincident nodes copy their value; each new node (an edge midpoint, in 2D
     including the midpoints of the cell diagonals) averages its two edge
-    endpoints.  Square-boundary endpoints contribute zero.
+    endpoints.  Square-boundary endpoints contribute zero.  The values may
+    be an n_dof x k block, whose columns are transferred independently.
     """
     i = u.level_index
     if i >= hierarchy.n_levels - 1:
@@ -207,9 +216,7 @@ def restrict(hierarchy, r):
     i = r.level_index
     if i < 1:
         raise ValueError("cannot restrict from the coarsest level")
-    J = hierarchy._prolongations[i - 1]
-    scale = 0.5 ** hierarchy.levels[i].dim
-    return NodalField(i - 1, scale * (J.T @ r.values))
+    return NodalField(i - 1, hierarchy._restrictions[i - 1] @ r.values)
 
 
 def mass_apply(level, u):
@@ -221,7 +228,9 @@ def l2_project(hierarchy, u):
     """L2-orthogonal projection onto the next coarser space.
 
     Computes M_c^{-1} R (M_f u) with the precomputed exact factorization of
-    the coarse mass matrix, so the projection is exact to roundoff.
+    the coarse mass matrix, so the projection is exact to roundoff.  The
+    values may be an n_dof x k block, whose columns are projected
+    independently.
     """
     i = u.level_index
     if i < 1:

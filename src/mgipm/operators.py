@@ -103,7 +103,7 @@ class ZeroOperator(ForwardOperator):
 
 @dataclass(frozen=True)
 class ParabolicConfig:
-    """Coefficients of u_t - a u_xx + b u_x + c u = 0 on the periodic interval.
+    """Coefficients of u_t - a u_xx - b u_x + c u = 0 on the periodic interval.
 
     The time step targets k = c1*h; the step count N_t = ceil(T/(c1*h)) is
     then used with k = T/N_t so the final time is hit exactly (the two agree
@@ -159,9 +159,10 @@ class ParabolicOperator(ForwardOperator):
     @cached_property
     def _symbol(self):
         # eigenvalues of a circulant with first row r are sum_m r[m] w^{mk},
-        # i.e. the conjugate FFT of the row
-        m_hat = np.conj(np.fft.fft(self._m_row))
-        s_hat = np.conj(np.fft.fft(self._s_row))
+        # i.e. the conjugate FFT of the row; K is real, so this holds only
+        # the modes k = 0..n//2 (mode n-k is the conjugate of mode k)
+        m_hat = np.conj(np.fft.rfft(self._m_row))
+        s_hat = np.conj(np.fft.rfft(self._s_row))
         step = (m_hat - 0.5 * self.dt * s_hat) / (m_hat + 0.5 * self.dt * s_hat)
         return step**self.n_steps
 
@@ -178,9 +179,7 @@ class ParabolicOperator(ForwardOperator):
         """
         n = self.level.n_dof
         lam = np.abs(self._symbol) ** 2
-        # a real K has lam[k] == lam[-k]; average away the roundoff
-        lam = 0.5 * (lam + np.roll(lam[::-1], 1))
-        keep = np.flatnonzero(lam[: n // 2 + 1] > np.finfo(float).eps * lam.max())
+        keep = np.flatnonzero(lam > np.finfo(float).eps * lam.max())
         paired = (keep > 0) & (2 * keep < n)
         scale = np.sqrt(np.where(paired, 2.0, 1.0) * lam[keep] / n)
         # integer phases keep the angles exact before the one rounding
@@ -198,7 +197,7 @@ class ParabolicOperator(ForwardOperator):
 
     def _apply(self, u):
         if self.config.method == "spectral":
-            return np.fft.ifft(self._symbol * np.fft.fft(u)).real
+            return np.fft.irfft(self._symbol * np.fft.rfft(u), self.level.n_dof)
         lu_plus, _, minus = self._step_factors
         y = u
         for _ in range(self.n_steps):
@@ -207,7 +206,7 @@ class ParabolicOperator(ForwardOperator):
 
     def _apply_transpose(self, u):
         if self.config.method == "spectral":
-            return np.fft.ifft(np.conj(self._symbol) * np.fft.fft(u)).real
+            return np.fft.irfft(np.conj(self._symbol) * np.fft.rfft(u), self.level.n_dof)
         _, lu_plus_t, minus = self._step_factors
         y = u
         for _ in range(self.n_steps):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import (
     mass_matrix_dirichlet,
@@ -177,6 +177,14 @@ class TestProlong:
         with pytest.raises(ValueError):
             prolong(hier, NodalField(1, np.zeros(8)))
 
+    @pytest.mark.parametrize("kind,n0", [("periodic-interval", 16), ("dirichlet-square", 8)])
+    def test_block_equals_column_by_column(self, kind, n0, rng):
+        hier = build_hierarchy(kind, n0, 2)
+        block = rng.standard_normal((hier.levels[0].n_dof, 5))
+        out = prolong(hier, NodalField(0, block)).values
+        cols = [prolong(hier, NodalField(0, c)).values for c in block.T]
+        assert_array_equal(out, np.column_stack(cols))
+
 
 class TestRestrict:
     def test_unit_vector_at_coincident_node(self):
@@ -206,6 +214,18 @@ class TestRestrict:
         hier = build_hierarchy("periodic-interval", 4, 2)
         with pytest.raises(ValueError):
             restrict(hier, NodalField(0, np.zeros(4)))
+
+    @pytest.mark.parametrize(
+        "kind,n0,matrix",
+        [("periodic-interval", 16, prolong_matrix_periodic),
+         ("dirichlet-square", 8, prolong_matrix_dirichlet)],
+    )
+    def test_matches_scaled_geometric_transpose(self, kind, n0, matrix, rng):
+        hier = build_hierarchy(kind, n0, 2)
+        J = matrix(n0)
+        r = rng.standard_normal(hier.levels[1].n_dof)
+        out = restrict(hier, NodalField(1, r))
+        assert_allclose(out.values, 0.5 ** hier.finest.dim * (J.T @ r), rtol=1e-14, atol=1e-15)
 
     @pytest.mark.parametrize("kind,n0", [("periodic-interval", 16), ("dirichlet-square", 8)])
     def test_transpose_pairing_with_prolong(self, kind, n0, rng):
@@ -260,6 +280,14 @@ class TestL2Project:
         u = rng.standard_normal(hier.levels[0].n_dof)
         back = l2_project(hier, prolong(hier, NodalField(0, u)))
         assert_allclose(back.values, u, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("kind,n0", [("periodic-interval", 16), ("dirichlet-square", 8)])
+    def test_block_equals_column_by_column(self, kind, n0, rng):
+        hier = build_hierarchy(kind, n0, 2)
+        block = rng.standard_normal((hier.levels[1].n_dof, 5))
+        out = l2_project(hier, NodalField(1, block)).values
+        cols = [l2_project(hier, NodalField(1, c)).values for c in block.T]
+        assert_array_equal(out, np.column_stack(cols))
 
     def test_periodic_constant_survives(self):
         hier = build_hierarchy("periodic-interval", 8, 2)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import mass_matrix_dirichlet, stiffness_matrix_dirichlet
+from conftest import mass_matrix_dirichlet, mass_matrix_periodic, stiffness_matrix_dirichlet
 from mgipm.grid import NodalField, build_hierarchy, inner_h, mass_apply, node_coordinates
 from mgipm.krylov import materialize_columns
 from mgipm.operators import (
@@ -60,6 +60,37 @@ class TestParabolicBuild:
         spectral = parabolic_build(level, ParabolicConfig(method="spectral"))
         stepping = parabolic_build(level, ParabolicConfig(method="stepping"))
         assert_allclose(stepping.apply(u), spectral.apply(u), rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 9, 63, 64])
+    def test_spectral_apply_matches_dense_crank_nicolson(self, n):
+        # E^{N_t} with E = (M + k/2 S)^{-1}(M - k/2 S), M and S assembled
+        # element by element from the weak form of u_t - a u_xx - b u_x + c u
+        cfg = ParabolicConfig(a=4e-3, b=0.4, c=0.3, T=0.8)
+        level = build_hierarchy("periodic-interval", n, 1).finest
+        op = parabolic_build(level, cfg)
+        h = 1.0 / n
+        stiff = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
+        # int phi_b' phi_a over one cell
+        adv = np.array([[-0.5, 0.5], [-0.5, 0.5]])
+        mass = (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+        S = np.zeros((n, n))
+        for e in range(n):
+            idx = np.array([e, (e + 1) % n])
+            S[np.ix_(idx, idx)] += cfg.a * stiff - cfg.b * adv + cfg.c * mass
+        M = mass_matrix_periodic(n)
+        n_steps = int(np.ceil(cfg.T / h))
+        k = cfg.T / n_steps
+        K = np.linalg.matrix_power(np.linalg.solve(M + 0.5 * k * S, M - 0.5 * k * S), n_steps)
+        got = materialize_columns(op.apply, n)
+        assert np.linalg.norm(got - K) <= 1e-12 * np.linalg.norm(K)
+
+    @pytest.mark.parametrize("n", [8, 9, 63, 64])
+    def test_materialized_transpose_is_exact(self, n):
+        level = build_hierarchy("periodic-interval", n, 1).finest
+        op = parabolic_build(level, ParabolicConfig())
+        K = materialize_columns(op.apply, n)
+        Kt = materialize_columns(op.apply_transpose, n)
+        assert np.linalg.norm(Kt - K.T) <= 1e-14 * np.linalg.norm(K)
 
     def test_transpose_pairing(self, rng):
         level = build_hierarchy("periodic-interval", 256, 1).finest
