@@ -129,8 +129,6 @@ def _parse_real(text):
 
 
 def _fmt(value):
-    if type(value) is float:
-        return "" if value != value else f"{value:.17g}"
     if value is None:
         return ""
     if isinstance(value, bool):

@@ -103,7 +103,7 @@ class ZeroOperator(ForwardOperator):
 
 @dataclass(frozen=True)
 class ParabolicConfig:
-    """Coefficients of u_t - a u_xx - b u_x + c u = 0 on the periodic interval.
+    """Coefficients of u_t - a u_xx + b u_x + c u = 0 on the periodic interval.
 
     The time step targets k = c1*h; the step count N_t = ceil(T/(c1*h)) is
     then used with k = T/N_t so the final time is hit exactly (the two agree

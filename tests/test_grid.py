@@ -215,18 +215,6 @@ class TestRestrict:
         with pytest.raises(ValueError):
             restrict(hier, NodalField(0, np.zeros(4)))
 
-    @pytest.mark.parametrize(
-        "kind,n0,matrix",
-        [("periodic-interval", 16, prolong_matrix_periodic),
-         ("dirichlet-square", 8, prolong_matrix_dirichlet)],
-    )
-    def test_matches_scaled_geometric_transpose(self, kind, n0, matrix, rng):
-        hier = build_hierarchy(kind, n0, 2)
-        J = matrix(n0)
-        r = rng.standard_normal(hier.levels[1].n_dof)
-        out = restrict(hier, NodalField(1, r))
-        assert_allclose(out.values, 0.5 ** hier.finest.dim * (J.T @ r), rtol=1e-14, atol=1e-15)
-
     @pytest.mark.parametrize("kind,n0", [("periodic-interval", 16), ("dirichlet-square", 8)])
     def test_transpose_pairing_with_prolong(self, kind, n0, rng):
         # <J u, v> = 2^d <u, R v>, the defining relation of the restriction
