@@ -64,7 +64,6 @@ _SCHEMA = {
     "c": float,
     "T": float,
     "c1": float,
-    "method": str,
     "mu_tol": float,
     "resid_tol": float,
     "max_outer": int,
@@ -201,6 +200,13 @@ def _ipm_options(cfg):
     return IpmOptions(**kw)
 
 
+def _parabolic_config(cfg, c1_default):
+    return ParabolicConfig(
+        a=cfg.get("a", 4e-3), b=cfg.get("b", 0.4), c=cfg.get("c", 0.0),
+        T=cfg.get("T", 0.8), c1=cfg.get("c1", c1_default),
+    )
+
+
 def _hierarchy(cfg, kind, default_n):
     finest_n = cfg.get("finest_n", default_n)
     levels = cfg.get("levels", 2)
@@ -250,11 +256,7 @@ def _write_run(cfg, experiment, finest_n, levels, beta, result, out_dir):
 def run_parabolic(cfg):
     """1D source identification: two-bump target, f = K u0, box bounds."""
     hier, finest_n, levels = _hierarchy(cfg, "periodic-interval", 1024)
-    op_cfg = ParabolicConfig(
-        a=cfg.get("a", 4e-3), b=cfg.get("b", 0.4), c=cfg.get("c", 0.0),
-        T=cfg.get("T", 0.8), c1=cfg.get("c1", 1.0),
-        method=cfg.get("method", "spectral"),
-    )
+    op_cfg = _parabolic_config(cfg, c1_default=1.0)
     ops = [parabolic_build(lv, op_cfg, level_index=i)
            for i, lv in enumerate(hier.levels)]
     finest = hier.finest
@@ -301,11 +303,7 @@ def run_elliptic(cfg):
 
 def run_spectral_table(cfg):
     """Dense d_h table over (h, beta); the operator is the 1D parabolic."""
-    op_cfg = ParabolicConfig(
-        a=cfg.get("a", 4e-3), b=cfg.get("b", 0.4), c=cfg.get("c", 0.0),
-        T=cfg.get("T", 0.8), c1=cfg.get("c1", 2.0),
-        method=cfg.get("method", "spectral"),
-    )
+    op_cfg = _parabolic_config(cfg, c1_default=2.0)
     h_list = cfg.get("h_list", (1 / 80, 1 / 160, 1 / 320, 1 / 640))
     beta_list = cfg.get("beta_list", (1.0, 0.1, 0.01))
     reports = spectral_distance_table(

@@ -89,13 +89,6 @@ class GridLevel:
     def dim(self):
         return 1 if self.kind == KIND_PERIODIC else 2
 
-    @property
-    def interior_shape(self):
-        if self.kind == KIND_PERIODIC:
-            return (self.n_cells,)
-        m = self.n_cells - 1
-        return (m, m)
-
     @cached_property
     def mass_matrix(self):
         """Rescaled consistent mass matrix (h^{-d} times the assembled one)."""

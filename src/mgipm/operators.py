@@ -2,9 +2,10 @@
 
 Two families are provided.  The parabolic operator advances periodic initial
 data through an advection-diffusion-reaction equation by Crank-Nicolson
-steps and returns the state at the final time; the elliptic operator applies
-the discrete solution map u -> y of the Dirichlet Poisson problem on the
-unit square.  Both expose a transpose in the plain nodal pairing.
+steps, evaluated exactly by FFT, and returns the state at the final time;
+the elliptic operator applies the discrete solution map u -> y of the
+Dirichlet Poisson problem on the unit square.  Both expose a transpose in
+the plain nodal pairing.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from functools import cached_property
 from math import ceil
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from mgipm.grid import (
     KIND_DIRICHLET,
@@ -103,14 +102,11 @@ class ZeroOperator(ForwardOperator):
 
 @dataclass(frozen=True)
 class ParabolicConfig:
-    """Coefficients of u_t - a u_xx + b u_x + c u = 0 on the periodic interval.
+    """Coefficients of u_t - a u_xx - b u_x + c u = 0 on the periodic interval.
 
     The time step targets k = c1*h; the step count N_t = ceil(T/(c1*h)) is
     then used with k = T/N_t so the final time is hit exactly (the two agree
-    whenever T/(c1*h) is an integer).  method selects the evaluation path:
-    "spectral" diagonalizes the circulant step matrices by FFT, "stepping"
-    runs the factored Crank-Nicolson recursion step by step.  Both evaluate
-    the same matrix power.
+    whenever T/(c1*h) is an integer).
     """
 
     a: float = 4e-3
@@ -118,7 +114,6 @@ class ParabolicConfig:
     c: float = 0.0
     T: float = 0.8
     c1: float = 1.0
-    method: str = "spectral"
 
     def validate(self):
         if not self.a > 0:
@@ -129,8 +124,6 @@ class ParabolicConfig:
             raise ValueError(f"final time must be positive, got {self.T}")
         if not self.c1 > 0:
             raise ValueError(f"time-step ratio must be positive, got {self.c1}")
-        if self.method not in ("spectral", "stepping"):
-            raise ValueError(f"unknown parabolic method {self.method!r}")
 
 
 class ParabolicOperator(ForwardOperator):
@@ -138,7 +131,6 @@ class ParabolicOperator(ForwardOperator):
 
     def __init__(self, level_index, level, config):
         super().__init__(level_index, level)
-        self.config = config
         n = level.n_cells
         h = level.h
         self.n_steps = max(1, ceil(config.T / (config.c1 * h)))
@@ -174,8 +166,7 @@ class ParabolicOperator(ForwardOperator):
         eigenvalues |symbol|^2.  Its real Fourier expansion has a constant
         column, a cos/sin pair per frequency 0 < k < n/2 and, for even n, a
         Nyquist column.  Modes at or below eps * max|symbol|^2 are dropped,
-        which changes K^{*h}K by at most that much.  Both methods evaluate
-        the same matrix power, so both share the factor.  Read-only.
+        which changes K^{*h}K by at most that much.  Read-only.
         """
         n = self.level.n_dof
         lam = np.abs(self._symbol) ** 2
@@ -188,40 +179,11 @@ class ParabolicOperator(ForwardOperator):
         f.flags.writeable = False
         return f
 
-    @cached_property
-    def _step_factors(self):
-        n = self.level.n_cells
-        plus = _circulant_tridiag(self._m_row + 0.5 * self.dt * self._s_row, n)
-        minus = _circulant_tridiag(self._m_row - 0.5 * self.dt * self._s_row, n)
-        return splu(plus.tocsc()), splu(plus.T.tocsc()), minus.tocsr()
-
     def _apply(self, u):
-        if self.config.method == "spectral":
-            return np.fft.irfft(self._symbol * np.fft.rfft(u), self.level.n_dof)
-        lu_plus, _, minus = self._step_factors
-        y = u
-        for _ in range(self.n_steps):
-            y = lu_plus.solve(minus @ y)
-        return y
+        return np.fft.irfft(self._symbol * np.fft.rfft(u), self.level.n_dof)
 
     def _apply_transpose(self, u):
-        if self.config.method == "spectral":
-            return np.fft.irfft(np.conj(self._symbol) * np.fft.rfft(u), self.level.n_dof)
-        _, lu_plus_t, minus = self._step_factors
-        y = u
-        for _ in range(self.n_steps):
-            y = minus.T @ lu_plus_t.solve(y)
-        return y
-
-
-def _circulant_tridiag(row, n):
-    A = sp.lil_matrix((n, n))
-    A.setdiag(np.full(n, row[0]))
-    A.setdiag(np.full(n - 1, row[1]), 1)
-    A.setdiag(np.full(n - 1, row[-1]), -1)
-    A[0, n - 1] = row[-1]
-    A[n - 1, 0] = row[1]
-    return A
+        return np.fft.irfft(np.conj(self._symbol) * np.fft.rfft(u), self.level.n_dof)
 
 
 def parabolic_build(level, config=None, level_index=0):

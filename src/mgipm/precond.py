@@ -56,7 +56,6 @@ class ScaledSystem:
     operator: object
     lam: NodalField
     p: np.ndarray
-    beta: float
 
 
 def make_scaled_system(level_index, level, operator, lam, beta):
@@ -65,7 +64,7 @@ def make_scaled_system(level_index, level, operator, lam, beta):
         raise ValueError(
             f"lambda must stay >= beta={beta} (min found {vals.min():.3e})"
         )
-    return ScaledSystem(level_index, level, operator, lam, np.sqrt(vals), beta)
+    return ScaledSystem(level_index, level, operator, lam, np.sqrt(vals))
 
 
 def g_apply(sys, u):

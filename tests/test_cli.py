@@ -42,14 +42,14 @@ class TestParseConfig:
             "\n"
             "finest_n = 256  # fine grid\n"
             "beta = 1e-3\n"
-            "method = spectral\n"
+            "coarsest_solver = cg\n"
             "h_list = 0.0125, 0.00625\n",
         )
         cfg = parse_config(path)
         assert cfg["experiment"] == "parabolic-1d"
         assert cfg["finest_n"] == 256
         assert cfg["beta"] == 1e-3
-        assert cfg["method"] == "spectral"
+        assert cfg["coarsest_solver"] == "cg"
         assert cfg["h_list"] == (0.0125, 0.00625)
 
     def test_unknown_key_reports_position(self, tmp_path):
@@ -83,9 +83,11 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("inner_solver", "cg"), ("inner_tol", "1e-12"), ("factor_max_cells", "512"),
+        ("method", "spectral"),
     ])
-    def test_removed_elliptic_solver_keys_are_unknown(self, tmp_path, key, value):
-        # the stiffness solve is exact, so it has no options left
+    def test_removed_keys_are_unknown(self, tmp_path, key, value):
+        # the elliptic stiffness solve is exact and the parabolic apply has
+        # a single FFT path, so neither has these options left
         path = write_config(
             tmp_path, f"experiment = elliptic-2d\n{key} = {value}\n"
         )

@@ -53,14 +53,6 @@ class TestParabolicBuild:
         expected = decay * np.sin(2 * np.pi * (x + cfg.b * cfg.T))
         assert np.max(np.abs(op.apply(u0) - expected)) <= 5e-3
 
-    def test_methods_agree(self):
-        level = build_hierarchy("periodic-interval", 128, 1).finest
-        x = node_coordinates(level)
-        u = np.sin(2 * np.pi * x) + 0.3 * np.cos(4 * np.pi * x)
-        spectral = parabolic_build(level, ParabolicConfig(method="spectral"))
-        stepping = parabolic_build(level, ParabolicConfig(method="stepping"))
-        assert_allclose(stepping.apply(u), spectral.apply(u), rtol=1e-9, atol=1e-12)
-
     @pytest.mark.parametrize("n", [8, 9, 63, 64])
     def test_spectral_apply_matches_dense_crank_nicolson(self, n):
         # E^{N_t} with E = (M + k/2 S)^{-1}(M - k/2 S), M and S assembled
@@ -100,7 +92,11 @@ class TestParabolicBuild:
         with pytest.raises(ValueError):
             ParabolicConfig(T=0.0).validate()
         with pytest.raises(ValueError):
-            ParabolicConfig(method="exact").validate()
+            ParabolicConfig(b=-0.1).validate()
+        with pytest.raises(ValueError):
+            ParabolicConfig(c=-0.1).validate()
+        with pytest.raises(ValueError):
+            ParabolicConfig(c1=0.0).validate()
 
 
 @pytest.fixture(scope="module")
@@ -111,11 +107,10 @@ def square_64():
 
 class TestNormalFactor:
     # 8 cells keep every mode, so the Nyquist column (even n) is in the factor
-    @pytest.mark.parametrize("method", ["spectral", "stepping"])
     @pytest.mark.parametrize("n", [8, 9, 64, 63])
-    def test_reproduces_the_materialized_normal_matrix(self, method, n):
+    def test_reproduces_the_materialized_normal_matrix(self, n):
         level = build_hierarchy("periodic-interval", n, 1).finest
-        op = parabolic_build(level, ParabolicConfig(method=method))
+        op = parabolic_build(level, ParabolicConfig())
         F = op.normal_factor
         assert op.matvec_counter == 0
         if n < 10:
