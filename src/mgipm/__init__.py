@@ -6,7 +6,6 @@ from mgipm.grid import (
     NodalField,
     build_hierarchy,
     inner_h,
-    norm_h,
     prolong,
     restrict,
     mass_apply,
@@ -35,7 +34,6 @@ from mgipm.precond import (
     build_preconditioner,
     two_grid_apply,
     mg_apply,
-    spectral_radius_estimate,
 )
 from mgipm.ipm import (
     ControlProblem,

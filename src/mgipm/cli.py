@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mgipm.diagnostics import spectral_distance_table
+from mgipm.diagnostics import DENSE_LIMIT, spectral_distance_table
 from mgipm.grid import NodalField, build_hierarchy, node_coordinates
 from mgipm.ipm import ControlProblem, IpmOptions, solve
 from mgipm.operators import ParabolicConfig, elliptic_build, parabolic_build
@@ -114,11 +114,9 @@ def _coerce(key, value, where):
             return int(value)
         if kind is float:
             return _parse_real(value)
-        if kind == "floatlist":
-            return tuple(_parse_real(v.strip()) for v in value.split(","))
+        return tuple(_parse_real(v.strip()) for v in value.split(","))
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key}: {value!r}") from exc
-    raise ConfigError(f"{where}: unhandled key {key}")
 
 
 def _parse_real(text):
@@ -197,14 +195,33 @@ def _ipm_options(cfg):
                 "coarsest_tol"):
         if key in cfg:
             kw[key] = cfg[key]
-    return IpmOptions(**kw)
+    try:
+        return IpmOptions(**kw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parabolic_config(cfg, c1_default):
-    return ParabolicConfig(
+    op_cfg = ParabolicConfig(
         a=cfg.get("a", 4e-3), b=cfg.get("b", 0.4), c=cfg.get("c", 0.0),
         T=cfg.get("T", 0.8), c1=cfg.get("c1", c1_default),
     )
+    try:
+        op_cfg.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return op_cfg
+
+
+def _problem(hier, ops, f_vals, beta, lo, hi):
+    finest = hier.n_levels - 1
+    try:
+        return ControlProblem(
+            hier, ops, NodalField(finest, f_vals), beta,
+            NodalField(finest, lo), NodalField(finest, hi),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _hierarchy(cfg, kind, default_n):
@@ -264,11 +281,7 @@ def run_parabolic(cfg):
     f_vals = ops[-1].apply(two_bump_target(x))
     lo, hi = _bounds(cfg, finest.n_dof, 0.0, 1.0)
     beta = cfg.get("beta", 1e-3)
-    prob = ControlProblem(
-        hier, ops, NodalField(levels - 1, f_vals), beta,
-        NodalField(levels - 1, lo), NodalField(levels - 1, hi),
-    )
-    result = solve(prob, _ipm_options(cfg))
+    result = solve(_problem(hier, ops, f_vals, beta, lo, hi), _ipm_options(cfg))
     arts = _write_run(cfg, "parabolic-1d", finest_n, levels, beta, result,
                       cfg.get("output_dir", "."))
     return arts, result.converged
@@ -291,11 +304,7 @@ def run_elliptic(cfg):
     f_vals = ops[-1].apply(u0)
     lo, hi = _bounds(cfg, finest.n_dof, -1.0, 1.0)
     beta = cfg.get("beta", 1e-6)
-    prob = ControlProblem(
-        hier, ops, NodalField(levels - 1, f_vals), beta,
-        NodalField(levels - 1, lo), NodalField(levels - 1, hi),
-    )
-    result = solve(prob, _ipm_options(cfg))
+    result = solve(_problem(hier, ops, f_vals, beta, lo, hi), _ipm_options(cfg))
     arts = _write_run(cfg, "elliptic-2d", finest_n, levels, beta, result,
                       cfg.get("output_dir", "."))
     return arts, result.converged
@@ -306,6 +315,17 @@ def run_spectral_table(cfg):
     op_cfg = _parabolic_config(cfg, c1_default=2.0)
     h_list = cfg.get("h_list", (1 / 80, 1 / 160, 1 / 320, 1 / 640))
     beta_list = cfg.get("beta_list", (1.0, 0.1, 0.01))
+    for h in h_list:
+        inv = 1.0 / h if h > 0.0 else 0.0
+        n = round(inv) if np.isfinite(inv) else 0
+        if not (8 <= n <= DENSE_LIMIT and n % 2 == 0 and abs(inv - n) <= 1e-9 * n):
+            raise ConfigError(
+                f"h_list entry {h!r}: 1/h must be an even integer"
+                f" between 8 and {DENSE_LIMIT}"
+            )
+    for beta in beta_list:
+        if not (np.isfinite(beta) and beta > 0.0):
+            raise ConfigError(f"beta_list entry {beta!r} must be positive and finite")
     reports = spectral_distance_table(
         lambda lv, i: parabolic_build(lv, op_cfg, level_index=i),
         lambda xs: np.sin(np.pi * xs) / np.pi,
@@ -337,7 +357,12 @@ def _execute(path, overrides):
             _, converged = run_elliptic(cfg)
         else:
             _, converged = run_spectral_table(cfg)
-        return 0 if converged else 2
+        if converged:
+            return 0
+        n_outer = cfg.get("max_outer", IpmOptions.max_outer)
+        print(f"solver error: {path}: not converged after {n_outer} outer iterations",
+              file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -1,12 +1,14 @@
 """Dense spectral diagnostics for the two-grid preconditioner.
 
 Everything here materializes small operators as full matrices and studies
-the generalized spectrum of (G_h, N_h), where N_h is the two-grid
-approximation of G_h.  The headline quantity is the spectral distance
-surrogate d_h = max |ln Re(alpha)| over that spectrum, which contracts at
-a fourth-order rate per grid doubling once the profile driving lambda is
-resolved; the table builder below reports it together with the observed
-rates and a check that the spectrum stayed (numerically) real.
+the spectrum of S_h G_h, where S_h is the solver's own two-grid map
+(precond.two_grid_apply) and G_h the scaled inner system.  Its eigenvalues
+form the generalized spectrum of (G_h, N_h) with N_h = S_h^{-1}.  The
+headline quantity is the spectral distance surrogate d_h = max |ln Re(alpha)|
+over that spectrum, which contracts at a fourth-order rate per grid
+doubling once the profile driving lambda is resolved; the table builder
+below reports it together with the observed rates and a check that the
+spectrum stayed (numerically) real.
 """
 
 from __future__ import annotations
@@ -16,13 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from mgipm.grid import NodalField, build_hierarchy, l2_project, node_coordinates, prolong
-from mgipm.krylov import materialize_columns
-from mgipm.precond import make_scaled_system, materialize_g
+from mgipm.grid import NodalField, build_hierarchy, node_coordinates
+from mgipm.precond import build_preconditioner, materialize_g, two_grid_apply
 
 __all__ = [
     "SpectralReport",
-    "materialize",
     "eigenvalues",
     "two_grid_cell",
     "spectral_distance_table",
@@ -43,17 +43,6 @@ class SpectralReport:
     max_imag_ratio: float
 
 
-def materialize(op, n):
-    """Dense n-by-n matrix of a linear map, one basis vector at a time.
-
-    op may be a callable on vectors or any object with an .apply method.
-    Guarded to n <= 2048; this is strictly a diagnostic path.
-    """
-    if n > DENSE_LIMIT:
-        raise ValueError(f"materialize limited to {DENSE_LIMIT} dof, got {n}")
-    return materialize_columns(op.apply if hasattr(op, "apply") else op, n)
-
-
 def eigenvalues(a):
     """Full spectrum of a dense matrix (balanced Hessenberg QR)."""
     a = np.asarray(a, dtype=float)
@@ -65,32 +54,28 @@ def eigenvalues(a):
 
 
 def two_grid_cell(op_builder, lambda_rule, n_cells, beta):
-    """Assemble the dense pair (G, N) for one fine resolution.
+    """Dense G and S G for one even fine resolution.
 
     op_builder(level, level_index) supplies the forward operator per
     level; lambda_rule maps node coordinates to the beta-independent part
-    of the diagonal profile, so the cell uses lambda = rule(x) + beta on
-    both grids (coarse nodes sample the same rule, which coincides with
-    discarding fine values).  Returns (hierarchy, G, N).
+    of the diagonal profile, so the fine grid uses lambda = rule(x) + beta
+    and the preconditioner moves it to the coarse grid by discarding fine
+    values (the coarse samples of the rule, bit for bit).  S is the
+    solver's two-grid map, applied to the columns of G.  Returns
+    (hierarchy, G, S G).
     """
+    if n_cells % 2:
+        raise ValueError(f"two-grid cell needs an even cell count, got {n_cells}")
     hier = build_hierarchy("periodic-interval", n_cells // 2, 2)
-    fine, coarse = hier.levels[1], hier.levels[0]
-    ops = [op_builder(coarse, 0), op_builder(fine, 1)]
-    lam_f = NodalField(1, np.asarray(lambda_rule(node_coordinates(fine)), dtype=float) + beta)
-    lam_c = NodalField(0, np.asarray(lambda_rule(node_coordinates(coarse)), dtype=float) + beta)
-    sys_f = make_scaled_system(1, fine, ops[1], lam_f, beta)
-    sys_c = make_scaled_system(0, coarse, ops[0], lam_c, beta)
-    g = materialize_g(sys_f)
-    g2 = materialize_g(sys_c)
-    nf, nc = fine.n_dof, coarse.n_dof
-    j = prolong(hier, NodalField(0, np.eye(nc))).values
-    pi = l2_project(hier, NodalField(1, np.eye(nf))).values
-    n_mat = (np.eye(nf) - j @ pi) + j @ g2 @ pi
-    return hier, g, n_mat
+    ops = [op_builder(level, i) for i, level in enumerate(hier.levels)]
+    rule = np.asarray(lambda_rule(node_coordinates(hier.finest)), dtype=float)
+    mg = build_preconditioner(hier, ops, NodalField(1, rule + beta), beta)
+    g = materialize_g(mg.systems[1])
+    return hier, g, two_grid_apply(mg, g)
 
 
-def _cell_spectrum(g, n_mat):
-    alpha = eigenvalues(sla.solve(n_mat, g))
+def _cell_spectrum(sg):
+    alpha = eigenvalues(sg)
     re = alpha.real
     if np.any(re <= 0.0):
         raise ValueError("generalized spectrum left the right half line")
@@ -115,8 +100,8 @@ def spectral_distance_table(op_builder, lambda_rule,
         prev = None
         for h in h_list:
             n_cells = round(1.0 / h)
-            _, g, n_mat = two_grid_cell(op_builder, lambda_rule, n_cells, beta)
-            _, d, imag_ratio = _cell_spectrum(g, n_mat)
+            _, _, sg = two_grid_cell(op_builder, lambda_rule, n_cells, beta)
+            _, d, imag_ratio = _cell_spectrum(sg)
             if prev is None:
                 rate = float("nan")
             elif d == 0.0:
@@ -129,16 +114,15 @@ def spectral_distance_table(op_builder, lambda_rule,
     return reports
 
 
-def lemma_a2_check(g, n_mat):
+def lemma_a2_check(sg):
     """Spectral radius of the preconditioned error versus its bound.
 
-    For S = N^{-1}, the iteration matrix I - S G has spectral radius
-    max |1 - alpha| over the generalized spectrum, which the spectral
-    distance controls through rho <= ((e^d - 1)/d) * d = e^d - 1.
-    Returns (lhs, rhs) and raises if the inequality fails beyond a 1e-6
-    slack.
+    The iteration matrix I - S G has spectral radius max |1 - alpha| over
+    the spectrum of S G, which the spectral distance controls through
+    rho <= ((e^d - 1)/d) * d = e^d - 1.  Returns (lhs, rhs) and raises if
+    the inequality fails beyond a 1e-6 slack.
     """
-    alpha, d, _ = _cell_spectrum(g, n_mat)
+    alpha, d, _ = _cell_spectrum(sg)
     lhs = float(np.max(np.abs(1.0 - alpha)))
     rhs = float(np.expm1(d))
     if lhs > rhs * (1.0 + 1e-6):

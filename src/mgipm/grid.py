@@ -34,7 +34,6 @@ __all__ = [
     "build_hierarchy",
     "node_coordinates",
     "inner_h",
-    "norm_h",
     "prolong",
     "restrict",
     "mass_apply",
@@ -182,11 +181,6 @@ def inner_h(level, u, v):
     if u.level_index != v.level_index:
         raise ValueError(f"level mismatch: {u.level_index} vs {v.level_index}")
     return float(np.sum(level.weights * u.values * v.values))
-
-
-def norm_h(level, u):
-    """Weighted norm |u|_h = sqrt(<u,u>_h)."""
-    return float(np.sqrt(np.sum(level.weights * u.values * u.values)))
 
 
 def prolong(hierarchy, u):

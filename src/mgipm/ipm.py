@@ -18,6 +18,7 @@ import numpy as np
 from mgipm.grid import GridHierarchy, NodalField, discrete_w2inf, unwrap
 from mgipm.krylov import LinearOperatorHandle, cg, cgs
 from mgipm.precond import (
+    COARSEST_SOLVERS,
     build_preconditioner,
     g_apply,
     make_scaled_system,
@@ -70,8 +71,8 @@ class ControlProblem:
             fld = getattr(self, name)
             if fld.level_index != finest:
                 raise ValueError(f"{name} must live on the finest level")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if not (np.isfinite(self.beta) and self.beta > 0.0):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         lo = np.asarray(self.lo.values, dtype=float)
         hi = np.asarray(self.hi.values, dtype=float)
         if not np.all(lo < hi):
@@ -110,6 +111,10 @@ class IpmOptions:
     def __post_init__(self):
         if not 0.0 < self.step_fraction < 1.0:
             raise ValueError("step_fraction must lie in (0, 1)")
+        if self.max_outer < 1:
+            raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
+        if self.coarsest_solver not in COARSEST_SOLVERS:
+            raise ValueError(f"unknown coarsest solver {self.coarsest_solver!r}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -116,6 +116,8 @@ class ParabolicConfig:
     c1: float = 1.0
 
     def validate(self):
+        if not all(map(isfinite, (self.a, self.b, self.c, self.T, self.c1))):
+            raise ValueError("parabolic coefficients must be finite")
         if not self.a > 0:
             raise ValueError(f"diffusion coefficient must be positive, got {self.a}")
         if self.b < 0 or self.c < 0:

@@ -24,9 +24,7 @@ from mgipm.grid import (
     GridLevel,
     NodalField,
     coarsen_lambda,
-    inner_h,
     l2_project,
-    norm_h,
     prolong,
     unwrap,
 )
@@ -40,11 +38,11 @@ __all__ = [
     "build_preconditioner",
     "two_grid_apply",
     "mg_apply",
-    "spectral_radius_estimate",
     "materialize_g",
 ]
 
 DENSE_COARSE_LIMIT = 2048
+COARSEST_SOLVERS = ("auto", "dense", "cg")
 
 
 @dataclass
@@ -170,7 +168,7 @@ def build_preconditioner(
         exact = (sys0.operator.normal_factor is not None
                  or sys0.level.n_dof <= DENSE_COARSE_LIMIT)
         coarsest_solver = "dense" if exact else "cg"
-    if coarsest_solver not in ("dense", "cg"):
+    if coarsest_solver not in COARSEST_SOLVERS:
         raise ValueError(f"unknown coarsest solver {coarsest_solver!r}")
 
     inverse = _exact_inverse(sys0) if coarsest_solver == "dense" else None
@@ -229,39 +227,3 @@ def _cycle(mg, r_vals, i):
         coarse1 = NodalField(i - 1, _cycle(mg, pr1.values, i - 1))
         u = u + r1 - prolong(hier, pr1).values + prolong(hier, coarse1).values
     return u
-
-
-def spectral_radius_estimate(mg, sys, n_iters=40, seed=0):
-    """Power-iteration estimate of rho(I - S G) on the finest level.
-
-    Meant for the dense-comparison regime (n_dof <= 1000).  The iteration
-    deflates the mean component, which otherwise drifts under roundoff,
-    and averages the last two growth factors to damp alternating modes.
-    """
-    n = sys.level.n_dof
-    if n > 1000:
-        raise ValueError(f"spectral estimate is for n_dof <= 1000, got {n}")
-    rng = np.random.default_rng(seed)
-    level = sys.level
-    z = NodalField(sys.level_index, rng.standard_normal(n))
-
-    def deflate(f):
-        ones = NodalField(sys.level_index, np.ones(n))
-        c = inner_h(level, f, ones) / inner_h(level, ones, ones)
-        return NodalField(sys.level_index, f.values - c)
-
-    z = deflate(z)
-    z = NodalField(sys.level_index, z.values / norm_h(level, z))
-    ratios = []
-    for _ in range(n_iters):
-        t = mg_apply(mg, g_apply(sys, z))
-        nxt = NodalField(sys.level_index, z.values - t.values)
-        nxt = deflate(nxt)
-        nrm = norm_h(level, nxt)
-        if nrm == 0.0:
-            return 0.0
-        ratios.append(nrm)
-        z = NodalField(sys.level_index, nxt.values / nrm)
-    if len(ratios) >= 2:
-        return float(np.sqrt(ratios[-1] * ratios[-2]))
-    return float(ratios[-1])

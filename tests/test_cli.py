@@ -292,7 +292,7 @@ class TestMain:
         assert (override / "parabolic-1d_summary.csv").exists()
         assert not (tmp_path / "ignored").exists()
 
-    def test_unconverged_run_returns_two(self, tmp_path):
+    def test_unconverged_run_returns_two(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
             "experiment = parabolic-1d\nfinest_n = 128\nlevels = 2\n"
@@ -300,6 +300,10 @@ class TestMain:
             f"output_dir = {tmp_path}\n",
         )
         assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"solver error: {path}: not converged after 1 outer iterations\n"
+        _, rows = read_csv(tmp_path / "parabolic-1d_summary.csv")
+        assert rows[0][-1] == "false"
 
     def test_solver_failure_returns_two_with_reason(self, tmp_path, capsys):
         # three 2D levels at the default beta on the smallest ladder: the
@@ -330,6 +334,35 @@ class TestMain:
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"config error: {key} must be finite")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("body", [
+        pytest.param("experiment = parabolic-1d\nbeta = -1\n", id="beta=-1"),
+        pytest.param("experiment = parabolic-1d\nbeta = nan\n", id="beta=nan"),
+        pytest.param("experiment = elliptic-2d\nbeta = inf\n", id="beta=inf"),
+        pytest.param("experiment = parabolic-1d\nstep_fraction = 1.5\n",
+                     id="step_fraction=1.5"),
+        pytest.param("experiment = parabolic-1d\nmax_outer = 0\n", id="max_outer=0"),
+        pytest.param("experiment = parabolic-1d\na = 0\n", id="a=0"),
+        pytest.param("experiment = parabolic-1d\nc1 = 0\n", id="c1=0"),
+        pytest.param("experiment = parabolic-1d\nT = inf\n", id="T=inf"),
+        pytest.param("experiment = parabolic-1d\ncoarsest_solver = lu\n",
+                     id="coarsest_solver=lu-2-levels"),
+        pytest.param("experiment = parabolic-1d\nlevels = 1\ncoarsest_solver = lu\n",
+                     id="coarsest_solver=lu-1-level"),
+        pytest.param("experiment = spectral-table\nh_list = 0.0625\nbeta_list = 1, 0\n",
+                     id="beta_list-0"),
+        pytest.param("experiment = spectral-table\nh_list = 0.012345679\n",
+                     id="h_list-odd"),
+        pytest.param("experiment = spectral-table\nh_list = 0.3\n", id="h_list-coarse"),
+        pytest.param("experiment = spectral-table\nh_list = 0\n", id="h_list-0"),
+    ])
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, body):
+        path = write_config(tmp_path, body + f"finest_n = 16\noutput_dir = {tmp_path}\n")
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_config_error_outranks_nonconvergence(self, tmp_path):
         good = write_config(

@@ -8,13 +8,12 @@ from conftest import char_poly_coeffs, durand_kerner, power_dominant
 from mgipm.diagnostics import (
     eigenvalues,
     lemma_a2_check,
-    materialize,
     spectral_distance_table,
     two_grid_cell,
 )
-from mgipm.grid import NodalField, build_hierarchy
+from mgipm.grid import NodalField, build_hierarchy, l2_project, node_coordinates, prolong
 from mgipm.operators import ParabolicConfig, ZeroOperator, parabolic_build
-from mgipm.precond import g_apply, make_scaled_system
+from mgipm.precond import make_scaled_system, materialize_g
 
 
 def parabolic_builder(level, level_index):
@@ -26,24 +25,12 @@ def zero_builder(level, level_index):
 
 
 class TestMaterialize:
-    def test_identity_callable(self):
-        assert_allclose(materialize(lambda v: v, 5), np.eye(5), rtol=0, atol=0)
-
-    def test_object_with_apply(self, rng):
-        A = rng.standard_normal((7, 7))
-
-        class Wrapped:
-            def apply(self, v):
-                return A @ v
-
-        assert_allclose(materialize(Wrapped(), 7), A, rtol=0, atol=0)
-
     def test_scaled_system_of_zero_operator_is_identity(self):
         level = build_hierarchy("periodic-interval", 16, 1).finest
         sys = make_scaled_system(
             0, level, ZeroOperator(0, level), NodalField(0, np.ones(16)), 1.0
         )
-        assert_allclose(materialize(lambda v: g_apply(sys, v), 16), np.eye(16), rtol=0, atol=0)
+        assert_allclose(materialize_g(sys), np.eye(16), rtol=0, atol=0)
 
     def test_weighted_symmetry_of_g(self):
         # W G = G^T W up to roundoff: G is self-adjoint in the lumped pairing
@@ -52,10 +39,6 @@ class TestMaterialize:
         W = np.diag(level.weights)
         defect = np.linalg.norm(W @ g - g.T @ W) / np.linalg.norm(W @ g)
         assert defect <= 1e-11
-
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            materialize(lambda v: v, 2049)
 
 
 class TestEigenvalues:
@@ -104,16 +87,40 @@ class TestEigenvalues:
 
 class TestTwoGridCell:
     def test_shapes_and_hierarchy(self):
-        hier, g, n_mat = two_grid_cell(parabolic_builder, np.sin, 32, 1.0)
+        hier, g, sg = two_grid_cell(parabolic_builder, np.sin, 32, 1.0)
         assert hier.n_levels == 2
         assert hier.finest.n_cells == 32
         assert g.shape == (32, 32)
-        assert n_mat.shape == (32, 32)
+        assert sg.shape == (32, 32)
+
+    def test_rejects_an_odd_cell_count(self):
+        with pytest.raises(ValueError, match="even"):
+            two_grid_cell(parabolic_builder, np.sin, 81, 1.0)
 
     def test_zero_map_gives_unit_spectrum(self):
-        _, g, n_mat = two_grid_cell(zero_builder, np.sin, 16, 1.0)
-        alpha = eigenvalues(np.linalg.solve(n_mat, g))
+        _, _, sg = two_grid_cell(zero_builder, np.sin, 16, 1.0)
+        alpha = eigenvalues(sg)
         assert np.max(np.abs(alpha - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("builder", [zero_builder, parabolic_builder])
+    @pytest.mark.parametrize("n", [32, 80])
+    def test_equals_the_assembled_two_grid_matrix(self, builder, n):
+        # oracle: N = (I - J Pi) + J G_0 Pi assembled from single-column
+        # transfers and a coarse G built from the rule, S G = N^{-1} G
+        beta = 0.1
+        hier = build_hierarchy("periodic-interval", n // 2, 2)
+        coarse, fine = hier.levels
+        lam_c = NodalField(0, np.sin(node_coordinates(coarse)) + beta)
+        g0 = materialize_g(make_scaled_system(0, coarse, builder(coarse, 0), lam_c, beta))
+        J = np.column_stack(
+            [prolong(hier, NodalField(0, e)).values for e in np.eye(coarse.n_dof)]
+        )
+        P = np.column_stack(
+            [l2_project(hier, NodalField(1, e)).values for e in np.eye(fine.n_dof)]
+        )
+        N = (np.eye(n) - J @ P) + J @ g0 @ P
+        _, g, sg = two_grid_cell(builder, np.sin, n, beta)
+        assert_allclose(sg, np.linalg.solve(N, g), rtol=0, atol=1e-12)
 
     def test_spectrum_sits_right_of_one(self):
         # G >= I in the weighted pairing pushes every eigenvalue real part
@@ -163,19 +170,19 @@ class TestSpectralDistanceTable:
 
 class TestLemmaA2Check:
     def test_zero_map_is_degenerate_equality(self):
-        _, g, n_mat = two_grid_cell(zero_builder, np.sin, 16, 1.0)
-        lhs, rhs = lemma_a2_check(g, n_mat)
+        _, _, sg = two_grid_cell(zero_builder, np.sin, 16, 1.0)
+        lhs, rhs = lemma_a2_check(sg)
         assert lhs <= 1e-12
         assert rhs <= 1e-12
 
     def test_bound_holds_on_fine_line(self):
-        _, g, n_mat = two_grid_cell(parabolic_builder, np.sin, 160, 1.0)
-        lhs, rhs = lemma_a2_check(g, n_mat)
+        _, _, sg = two_grid_cell(parabolic_builder, np.sin, 160, 1.0)
+        lhs, rhs = lemma_a2_check(sg)
         assert 0.0 < lhs <= rhs * (1.0 + 1e-6)
         assert rhs < 1.0
 
     @pytest.mark.parametrize("beta", [1.0, 0.1, 0.01])
     def test_bound_holds_for_each_regularization(self, beta):
-        _, g, n_mat = two_grid_cell(parabolic_builder, np.sin, 80, beta)
-        lhs, rhs = lemma_a2_check(g, n_mat)
+        _, _, sg = two_grid_cell(parabolic_builder, np.sin, 80, beta)
+        lhs, rhs = lemma_a2_check(sg)
         assert lhs <= rhs * (1.0 + 1e-6)

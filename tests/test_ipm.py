@@ -96,12 +96,26 @@ class TestControlProblem:
         with pytest.raises(ValueError):
             zero_problem(8, beta=0.0)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_rejects_nonfinite_beta(self, beta):
+        with pytest.raises(ValueError, match="finite"):
+            zero_problem(8, beta=beta)
+
     def test_rejects_operator_count_mismatch(self):
         hier = build_hierarchy("periodic-interval", 8, 2)
         op = ZeroOperator(1, hier.finest)
         with pytest.raises(ValueError):
             ControlProblem(hier, [op], NodalField(1, np.zeros(16)), 1.0,
                            NodalField(1, np.zeros(16)), NodalField(1, np.ones(16)))
+
+
+class TestIpmOptions:
+    @pytest.mark.parametrize("kw", [
+        {"step_fraction": 1.5}, {"max_outer": 0}, {"coarsest_solver": "lu"},
+    ])
+    def test_rejects_out_of_range_values(self, kw):
+        with pytest.raises(ValueError):
+            IpmOptions(**kw)
 
 
 class TestHessianApply:

@@ -97,6 +97,10 @@ class TestParabolicBuild:
             ParabolicConfig(c=-0.1).validate()
         with pytest.raises(ValueError):
             ParabolicConfig(c1=0.0).validate()
+        with pytest.raises(ValueError):
+            ParabolicConfig(b=float("nan")).validate()
+        with pytest.raises(ValueError):
+            ParabolicConfig(T=float("inf")).validate()
 
 
 @pytest.fixture(scope="module")
