@@ -311,7 +311,12 @@ def run_elliptic(cfg):
 
 
 def run_spectral_table(cfg):
-    """Dense d_h table over (h, beta); the operator is the 1D parabolic."""
+    """d_h table over (h, beta); the operator is the 1D parabolic.
+
+    Each cell is a k x k eigenproblem (diagnostics.two_grid_cell), with k
+    the summed ranks of the two levels' normal factors: 59, 74, 98 and
+    146 at the default 1/h = 80, 160, 320 and 640.
+    """
     op_cfg = _parabolic_config(cfg, c1_default=2.0)
     h_list = cfg.get("h_list", (1 / 80, 1 / 160, 1 / 320, 1 / 640))
     beta_list = cfg.get("beta_list", (1.0, 0.1, 0.01))

@@ -303,13 +303,16 @@ def discrete_w2inf(level, g):
 # matrix builders
 
 def _mass_periodic(n):
-    # rescaled circulant rows [1/6, 2/3, 1/6]
-    main = np.full(n, 2.0 / 3.0)
-    off = np.full(n - 1, 1.0 / 6.0)
-    M = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    M[0, n - 1] = 1.0 / 6.0
-    M[n - 1, 0] = 1.0 / 6.0
-    return M.tocsr()
+    # rescaled circulant rows [1/6, 2/3, 1/6]; n >= 3 keeps the three
+    # columns of a row distinct, so no entries are summed
+    i = np.arange(n)
+    M = sp.coo_matrix(
+        (np.repeat([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0], n),
+         (np.tile(i, 3), np.concatenate([(i - 1) % n, i, (i + 1) % n]))),
+        shape=(n, n),
+    ).tocsr()
+    M.sort_indices()
+    return M
 
 
 def _mass_dirichlet(n):

@@ -12,6 +12,7 @@ once per outer iteration and only the right-hand side changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -113,6 +114,12 @@ class IpmOptions:
             raise ValueError("step_fraction must lie in (0, 1)")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
+        if self.krylov_maxit < 1:
+            raise ValueError(f"krylov_maxit must be >= 1, got {self.krylov_maxit}")
+        for name in ("mu_tol", "resid_tol", "krylov_tol", "coarsest_tol"):
+            value = getattr(self, name)
+            if not (isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.coarsest_solver not in COARSEST_SOLVERS:
             raise ValueError(f"unknown coarsest solver {self.coarsest_solver!r}")
 

@@ -94,6 +94,13 @@ class DenseOperator(ForwardOperator):
 class ZeroOperator(ForwardOperator):
     """K = 0; the control problem degenerates to a weighted projection."""
 
+    @cached_property
+    def normal_factor(self):
+        """K^{*h}K = 0 exactly: the empty n_dof x 0 factor.  Read-only."""
+        f = np.zeros((self.level.n_dof, 0))
+        f.flags.writeable = False
+        return f
+
     def _apply(self, u):
         return np.zeros_like(u)
 

@@ -1,7 +1,7 @@
 """Acceptance suite: the end-to-end guarantees the package ships under.
 
 Each test prints one ACCEPTANCE line naming the guarantee and its outcome.
-Heavy artifacts (the dense spectral table, the 1D and 2D run ladders) are
+Heavy artifacts (the spectral table, the 1D and 2D run ladders) are
 built once in module-scoped fixtures and shared by every test that grades
 them.
 """
@@ -73,7 +73,7 @@ def read_rows(path):
 
 @pytest.fixture(scope="module")
 def spectral_cells():
-    """(d_h, rho, bound) per (beta, n_cells) cell of the dense table."""
+    """(d_h, rho, bound) per (beta, n_cells) cell of the spectral table."""
     start = time.perf_counter()
     op_cfg = ParabolicConfig(c1=2.0)
 
@@ -87,8 +87,8 @@ def spectral_cells():
     for beta in BETA_LIST:
         for h in H_LIST:
             n = round(1.0 / h)
-            _, _, sg = two_grid_cell(builder, rule, n, beta)
-            lhs, rhs = lemma_a2_check(sg)
+            _, c = two_grid_cell(builder, rule, n, beta)
+            lhs, rhs = lemma_a2_check(c)
             cells[(beta, n)] = (math.log1p(rhs), lhs, rhs)
     return cells, time.perf_counter() - start
 

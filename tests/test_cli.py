@@ -342,6 +342,13 @@ class TestMain:
         pytest.param("experiment = parabolic-1d\nstep_fraction = 1.5\n",
                      id="step_fraction=1.5"),
         pytest.param("experiment = parabolic-1d\nmax_outer = 0\n", id="max_outer=0"),
+        pytest.param("experiment = parabolic-1d\nkrylov_tol = nan\n", id="krylov_tol=nan"),
+        pytest.param("experiment = parabolic-1d\nkrylov_tol = 0\n", id="krylov_tol=0"),
+        pytest.param("experiment = parabolic-1d\ncoarsest_solver = cg\ncoarsest_tol = nan\n",
+                     id="coarsest_tol=nan"),
+        pytest.param("experiment = parabolic-1d\nresid_tol = inf\n", id="resid_tol=inf"),
+        pytest.param("experiment = parabolic-1d\nmu_tol = -1\n", id="mu_tol=-1"),
+        pytest.param("experiment = parabolic-1d\nkrylov_maxit = 0\n", id="krylov_maxit=0"),
         pytest.param("experiment = parabolic-1d\na = 0\n", id="a=0"),
         pytest.param("experiment = parabolic-1d\nc1 = 0\n", id="c1=0"),
         pytest.param("experiment = parabolic-1d\nT = inf\n", id="T=inf"),

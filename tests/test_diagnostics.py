@@ -1,11 +1,13 @@
-"""Dense spectral checks of the two-grid approximation quality."""
+"""Spectral checks of the two-grid approximation quality."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
 from conftest import char_poly_coeffs, durand_kerner, power_dominant
 from mgipm.diagnostics import (
+    _cell_spectrum,
     eigenvalues,
     lemma_a2_check,
     spectral_distance_table,
@@ -13,7 +15,12 @@ from mgipm.diagnostics import (
 )
 from mgipm.grid import NodalField, build_hierarchy, l2_project, node_coordinates, prolong
 from mgipm.operators import ParabolicConfig, ZeroOperator, parabolic_build
-from mgipm.precond import make_scaled_system, materialize_g
+from mgipm.precond import (
+    build_preconditioner,
+    make_scaled_system,
+    materialize_g,
+    two_grid_apply,
+)
 
 
 def parabolic_builder(level, level_index):
@@ -22,6 +29,35 @@ def parabolic_builder(level, level_index):
 
 def zero_builder(level, level_index):
     return ZeroOperator(level_index, level)
+
+
+def dense_cell(builder, rule, n, beta):
+    """Dense G and S G of the cell two_grid_cell compresses (same lambda)."""
+    hier = build_hierarchy("periodic-interval", n // 2, 2)
+    ops = [builder(level, i) for i, level in enumerate(hier.levels)]
+    lam = NodalField(1, rule(node_coordinates(hier.finest)) + beta)
+    mg = build_preconditioner(hier, ops, lam, beta)
+    g = materialize_g(mg.systems[1])
+    return g, two_grid_apply(mg, g)
+
+
+def assembled_two_grid(builder, rule, n, beta):
+    """N = (I - J Pi) + J G_0 Pi from single-column transfers and a coarse G
+    built from the rule; S G = N^{-1} G.  Returns (N, G)."""
+    hier = build_hierarchy("periodic-interval", n // 2, 2)
+    coarse, fine = hier.levels
+    g0, g = (
+        materialize_g(make_scaled_system(
+            i, lv, builder(lv, i), NodalField(i, rule(node_coordinates(lv)) + beta), beta))
+        for i, lv in enumerate(hier.levels)
+    )
+    J = np.column_stack(
+        [prolong(hier, NodalField(0, e)).values for e in np.eye(coarse.n_dof)]
+    )
+    P = np.column_stack(
+        [l2_project(hier, NodalField(1, e)).values for e in np.eye(fine.n_dof)]
+    )
+    return (np.eye(n) - J @ P) + J @ g0 @ P, g
 
 
 class TestMaterialize:
@@ -34,7 +70,7 @@ class TestMaterialize:
 
     def test_weighted_symmetry_of_g(self):
         # W G = G^T W up to roundoff: G is self-adjoint in the lumped pairing
-        _, g, _ = two_grid_cell(parabolic_builder, np.sin, 80, 1.0)
+        g, _ = dense_cell(parabolic_builder, np.sin, 80, 1.0)
         level = build_hierarchy("periodic-interval", 80, 1).finest
         W = np.diag(level.weights)
         defect = np.linalg.norm(W @ g - g.T @ W) / np.linalg.norm(W @ g)
@@ -87,45 +123,77 @@ class TestEigenvalues:
 
 class TestTwoGridCell:
     def test_shapes_and_hierarchy(self):
-        hier, g, sg = two_grid_cell(parabolic_builder, np.sin, 32, 1.0)
-        assert hier.n_levels == 2
-        assert hier.finest.n_cells == 32
-        assert g.shape == (32, 32)
-        assert sg.shape == (32, 32)
+        # k = min(n, r_1 + r_0): Q spans the whole space once the two
+        # factors together have n columns
+        for n in (16, 32, 160):
+            hier, c = two_grid_cell(parabolic_builder, np.sin, n, 1.0)
+            assert hier.n_levels == 2
+            assert hier.finest.n_cells == n
+            ranks = sum(parabolic_builder(lv, i).normal_factor.shape[1]
+                        for i, lv in enumerate(hier.levels))
+            k = min(n, ranks)
+            assert c.shape == (k, k)
+            assert (k == n) == (n <= 32)
 
     def test_rejects_an_odd_cell_count(self):
         with pytest.raises(ValueError, match="even"):
             two_grid_cell(parabolic_builder, np.sin, 81, 1.0)
 
+    def test_rejects_an_operator_without_a_factor(self):
+        class Unfactored(ZeroOperator):
+            normal_factor = None
+
+        with pytest.raises(ValueError, match="normal_factor"):
+            two_grid_cell(lambda lv, i: Unfactored(i, lv), np.sin, 16, 1.0)
+
     def test_zero_map_gives_unit_spectrum(self):
-        _, _, sg = two_grid_cell(zero_builder, np.sin, 16, 1.0)
+        _, c = two_grid_cell(zero_builder, np.sin, 16, 1.0)
+        assert c.shape == (0, 0)
+        _, sg = dense_cell(zero_builder, np.sin, 16, 1.0)
         alpha = eigenvalues(sg)
         assert np.max(np.abs(alpha - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("builder", [zero_builder, parabolic_builder])
     @pytest.mark.parametrize("n", [32, 80])
     def test_equals_the_assembled_two_grid_matrix(self, builder, n):
-        # oracle: N = (I - J Pi) + J G_0 Pi assembled from single-column
-        # transfers and a coarse G built from the rule, S G = N^{-1} G
+        # the solver's map applied to the dense G equals N^{-1} G
         beta = 0.1
-        hier = build_hierarchy("periodic-interval", n // 2, 2)
-        coarse, fine = hier.levels
-        lam_c = NodalField(0, np.sin(node_coordinates(coarse)) + beta)
-        g0 = materialize_g(make_scaled_system(0, coarse, builder(coarse, 0), lam_c, beta))
-        J = np.column_stack(
-            [prolong(hier, NodalField(0, e)).values for e in np.eye(coarse.n_dof)]
-        )
-        P = np.column_stack(
-            [l2_project(hier, NodalField(1, e)).values for e in np.eye(fine.n_dof)]
-        )
-        N = (np.eye(n) - J @ P) + J @ g0 @ P
-        _, g, sg = two_grid_cell(builder, np.sin, n, beta)
+        N, g_ref = assembled_two_grid(builder, np.sin, n, beta)
+        g, sg = dense_cell(builder, np.sin, n, beta)
+        assert_allclose(g, g_ref, rtol=0, atol=0)
         assert_allclose(sg, np.linalg.solve(N, g), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("c1", [1.0, 2.0])
+    @pytest.mark.parametrize("beta", [1.0, 0.1, 0.01])
+    @pytest.mark.parametrize("n", [16, 32, 80, 160])
+    def test_compressed_spectrum_is_the_assembled_spectrum(self, n, beta, c1):
+        # oracle: the dense spectrum of N^{-1} G; C carries all of it but
+        # n - k unit eigenvalues
+        cfg = ParabolicConfig(c1=c1)
+
+        def builder(level, level_index):
+            return parabolic_build(level, cfg, level_index=level_index)
+
+        N, g = assembled_two_grid(builder, np.sin, n, beta)
+        sg = np.linalg.solve(N, g)
+        _, c = two_grid_cell(builder, np.sin, n, beta)
+        k = c.shape[0]
+        got = np.concatenate([eigenvalues(c), np.ones(n - k)])
+        ref = eigenvalues(sg)
+        row, col = linear_sum_assignment(np.abs(got[:, None] - ref[None, :]))
+        assert np.max(np.abs(got[row] - ref[col])) <= 1e-12
+        _, d_ref, imag_ref = _cell_spectrum(sg)
+        _, d, imag = _cell_spectrum(c)
+        assert_allclose(d, d_ref, rtol=1e-10, atol=0)
+        assert_allclose(lemma_a2_check(c), lemma_a2_check(sg), rtol=1e-10, atol=0)
+        # an imaginary part carries the absolute error of its eigenvalue
+        # (about 1e-15), so small ratios get that floor
+        assert_allclose(imag, imag_ref, rtol=1e-10, atol=1e-13)
 
     def test_spectrum_sits_right_of_one(self):
         # G >= I in the weighted pairing pushes every eigenvalue real part
         # to at least 1
-        _, g, _ = two_grid_cell(parabolic_builder, np.sin, 64, 1.0)
+        g, _ = dense_cell(parabolic_builder, np.sin, 64, 1.0)
         eigs = eigenvalues(g)
         assert np.min(eigs.real) >= 1.0 - 1e-9
         assert np.max(np.abs(eigs.imag)) <= 1e-9
@@ -170,19 +238,19 @@ class TestSpectralDistanceTable:
 
 class TestLemmaA2Check:
     def test_zero_map_is_degenerate_equality(self):
-        _, _, sg = two_grid_cell(zero_builder, np.sin, 16, 1.0)
-        lhs, rhs = lemma_a2_check(sg)
+        _, c = two_grid_cell(zero_builder, np.sin, 16, 1.0)
+        lhs, rhs = lemma_a2_check(c)
         assert lhs <= 1e-12
         assert rhs <= 1e-12
 
     def test_bound_holds_on_fine_line(self):
-        _, _, sg = two_grid_cell(parabolic_builder, np.sin, 160, 1.0)
-        lhs, rhs = lemma_a2_check(sg)
+        _, c = two_grid_cell(parabolic_builder, np.sin, 160, 1.0)
+        lhs, rhs = lemma_a2_check(c)
         assert 0.0 < lhs <= rhs * (1.0 + 1e-6)
         assert rhs < 1.0
 
     @pytest.mark.parametrize("beta", [1.0, 0.1, 0.01])
     def test_bound_holds_for_each_regularization(self, beta):
-        _, _, sg = two_grid_cell(parabolic_builder, np.sin, 80, beta)
-        lhs, rhs = lemma_a2_check(sg)
+        _, c = two_grid_cell(parabolic_builder, np.sin, 80, beta)
+        lhs, rhs = lemma_a2_check(c)
         assert lhs <= rhs * (1.0 + 1e-6)

@@ -249,10 +249,17 @@ class TestMassApply:
         assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
     def test_matches_element_assembly_1d(self, rng):
-        level = build_hierarchy("periodic-interval", 8, 1).finest
-        M = mass_matrix_periodic(8) / level.h
-        u = rng.standard_normal(8)
-        assert_allclose(mass_apply(level, u), M @ u, rtol=1e-13, atol=1e-15)
+        for n in (4, 8, 1024):
+            level = build_hierarchy("periodic-interval", n, 1).finest
+            M = mass_matrix_periodic(n) / level.h
+            u = rng.standard_normal(n)
+            assert_allclose(mass_apply(level, u), M @ u, rtol=1e-13, atol=1e-15)
+            stored = level.mass_matrix
+            assert_allclose(stored.toarray(), M, rtol=1e-13, atol=0)
+            # three stored entries per row, in ascending column order
+            assert_array_equal(np.diff(stored.indptr), 3)
+            cols = stored.indices.reshape(n, 3)
+            assert (np.diff(cols, axis=1) > 0).all()
 
     def test_matches_element_assembly_2d(self, rng):
         level = build_hierarchy("dirichlet-square", 8, 1).finest

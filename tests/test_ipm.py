@@ -112,6 +112,9 @@ class TestControlProblem:
 class TestIpmOptions:
     @pytest.mark.parametrize("kw", [
         {"step_fraction": 1.5}, {"max_outer": 0}, {"coarsest_solver": "lu"},
+        {"krylov_tol": math.nan}, {"krylov_tol": 0.0}, {"coarsest_tol": math.nan},
+        {"coarsest_tol": math.inf}, {"resid_tol": -1e-8}, {"resid_tol": math.inf},
+        {"mu_tol": -1.0}, {"mu_tol": math.nan}, {"krylov_maxit": 0},
     ])
     def test_rejects_out_of_range_values(self, kw):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ and the adjoints against dense transposes.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import mass_matrix_dirichlet, mass_matrix_periodic, stiffness_matrix_dirichlet
 from mgipm.grid import NodalField, build_hierarchy, inner_h, mass_apply, node_coordinates
@@ -128,9 +128,16 @@ class TestNormalFactor:
         assert not F.flags.writeable
 
     def test_absent_where_there_is_no_circulant_structure(self, square_64):
-        level, op = square_64
+        _, op = square_64
         assert op.normal_factor is None
-        assert ZeroOperator(0, level).normal_factor is None
+
+    def test_zero_operator_has_an_exact_empty_factor(self):
+        level = build_hierarchy("periodic-interval", 16, 1).finest
+        op = ZeroOperator(0, level)
+        F = op.normal_factor
+        assert F.shape == (16, 0)
+        assert not F.flags.writeable
+        assert_array_equal(F @ F.T, op.normal_matrix)
 
 
 class TestEllipticBuild:
