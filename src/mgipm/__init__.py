@@ -23,16 +23,13 @@ from mgipm.operators import (
     EllipticConfig,
     parabolic_build,
     elliptic_build,
-    adjoint_h_apply,
     convergence_probe,
 )
 from mgipm.precond import (
     ScaledSystem,
     MgPreconditioner,
     g_apply,
-    symmetrized_g_handle,
     build_preconditioner,
-    two_grid_apply,
     mg_apply,
 )
 from mgipm.ipm import (

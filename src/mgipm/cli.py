@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,7 +241,7 @@ def _hierarchy(cfg, kind, default_n):
         raise ConfigError(str(exc)) from exc
 
 
-def _write_run(cfg, experiment, finest_n, levels, beta, result, out_dir):
+def _write_run(experiment, finest_n, levels, beta, result, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     outer_path = os.path.join(out_dir, f"{experiment}_outer.csv")
     summary_path = os.path.join(out_dir, f"{experiment}_summary.csv")
@@ -282,7 +281,7 @@ def run_parabolic(cfg):
     lo, hi = _bounds(cfg, finest.n_dof, 0.0, 1.0)
     beta = cfg.get("beta", 1e-3)
     result = solve(_problem(hier, ops, f_vals, beta, lo, hi), _ipm_options(cfg))
-    arts = _write_run(cfg, "parabolic-1d", finest_n, levels, beta, result,
+    arts = _write_run("parabolic-1d", finest_n, levels, beta, result,
                       cfg.get("output_dir", "."))
     return arts, result.converged
 
@@ -305,7 +304,7 @@ def run_elliptic(cfg):
     lo, hi = _bounds(cfg, finest.n_dof, -1.0, 1.0)
     beta = cfg.get("beta", 1e-6)
     result = solve(_problem(hier, ops, f_vals, beta, lo, hi), _ipm_options(cfg))
-    arts = _write_run(cfg, "elliptic-2d", finest_n, levels, beta, result,
+    arts = _write_run("elliptic-2d", finest_n, levels, beta, result,
                       cfg.get("output_dir", "."))
     return arts, result.converged
 
@@ -380,15 +379,6 @@ def _execute(path, overrides):
         return 2
 
 
-def _worker_count(n_jobs):
-    cap = os.environ.get("MGIPM_THREADS", "")
-    try:
-        cap_n = max(1, int(cap)) if cap else 1
-    except ValueError:
-        cap_n = 1
-    return min(cap_n, n_jobs)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="mgipm",
@@ -416,14 +406,7 @@ def main(argv=None):
     if args.command == "spectral":
         overrides["experiment"] = "spectral-table"
 
-    configs = list(args.configs)
-    workers = _worker_count(len(configs))
-    if workers == 1 or len(configs) == 1:
-        codes = [_execute(p, overrides) for p in configs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            codes = list(pool.map(_execute, configs,
-                                  [overrides] * len(configs)))
+    codes = [_execute(p, overrides) for p in args.configs]
     if 1 in codes:
         return 1
     if 2 in codes:

@@ -1,8 +1,8 @@
 """Spectral diagnostics for the two-grid preconditioner.
 
 The quantity studied is the spectrum of S_h G_h, where S_h is the solver's
-own two-grid map (precond.two_grid_apply) and G_h the scaled inner system.
-Its eigenvalues form the generalized spectrum of (G_h, N_h) with
+own two-grid map (precond.mg_apply on two levels) and G_h the scaled inner
+system.  Its eigenvalues form the generalized spectrum of (G_h, N_h) with
 N_h = S_h^{-1}.  No n x n matrix is formed: with G = I + B_1 B_1^T and
 range(S - I) inside J range(B_0) (B_i the scaled normal factors of the two
 levels, J the prolongation), S G - I maps into V = span[B_1, J B_0], so the
@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from mgipm.grid import NodalField, build_hierarchy, node_coordinates, prolong
-from mgipm.precond import build_preconditioner, g_apply, two_grid_apply
+from mgipm.precond import build_preconditioner, g_apply, mg_apply
 
 __all__ = [
     "SpectralReport",
@@ -60,7 +60,7 @@ def two_grid_cell(op_builder, lambda_rule, n_cells, beta):
     """Compression C of S G to the subspace where it differs from I.
 
     op_builder(level, level_index) supplies the forward operator per
-    level, each with a normal_factor F_i (K^{*h}K = F_i F_i^T, rank r_i);
+    level, each with a normal_factor F_i (K^T K = F_i F_i^T, rank r_i);
     lambda_rule maps node coordinates to the beta-independent part of the
     diagonal profile, so the fine grid uses lambda = rule(x) + beta and
     the preconditioner moves it to the coarse grid by discarding fine
@@ -89,7 +89,7 @@ def two_grid_cell(op_builder, lambda_rule, n_cells, beta):
     gq = np.empty_like(q)
     for j in range(q.shape[1]):
         gq[:, j] = g_apply(mg.systems[1], q[:, j])
-    c = q.T @ (two_grid_apply(mg, gq) - q)
+    c = q.T @ (mg_apply(mg, gq) - q)
     c[np.diag_indices_from(c)] += 1.0
     return hier, c
 

@@ -71,22 +71,35 @@ def unwrap(u, level_index):
 
 @dataclass(frozen=True)
 class GridLevel:
-    """One uniform refinement level.
+    """One uniform refinement level, fixed by its kind and cell count.
 
-    n_dof is n_cells for the periodic interval and (n_cells-1)^2 for the
-    Dirichlet square; weights holds the lumped quadrature weight of every
-    node (h resp. h^2 on these uniform meshes).
+    h = 1/n_cells; n_dof is n_cells for the periodic interval and
+    (n_cells-1)^2 for the Dirichlet square; weights holds the lumped
+    quadrature weight of every node, the one number h resp. h^2
+    (read-only).
     """
 
     kind: str
     n_cells: int
-    h: float
-    n_dof: int
-    weights: np.ndarray
 
     @property
     def dim(self):
         return 1 if self.kind == KIND_PERIODIC else 2
+
+    @property
+    def h(self):
+        return 1.0 / self.n_cells
+
+    @property
+    def n_dof(self):
+        return self.n_cells if self.kind == KIND_PERIODIC else (self.n_cells - 1) ** 2
+
+    @cached_property
+    def weights(self):
+        h = self.h
+        w = np.full(self.n_dof, h if self.kind == KIND_PERIODIC else h * h)
+        w.flags.writeable = False
+        return w
 
     @cached_property
     def mass_matrix(self):
@@ -148,18 +161,9 @@ def build_hierarchy(kind, n0_cells, n_levels):
         raise ValueError(f"coarsest grid needs at least 4 cells, got {n0_cells}")
     if kind == KIND_DIRICHLET and n0_cells & (n0_cells - 1):
         raise ValueError(f"square grid needs a power-of-two cell count, got {n0_cells}")
-    levels = []
-    for i in range(n_levels):
-        n = n0_cells * 2**i
-        h = 1.0 / n
-        if kind == KIND_PERIODIC:
-            n_dof = n
-            weights = np.full(n_dof, h)
-        else:
-            n_dof = (n - 1) ** 2
-            weights = np.full(n_dof, h * h)
-        levels.append(GridLevel(kind, n, h, n_dof, weights))
-    return GridHierarchy(tuple(levels))
+    return GridHierarchy(
+        tuple(GridLevel(kind, n0_cells * 2**i) for i in range(n_levels))
+    )
 
 
 def node_coordinates(level):
@@ -170,7 +174,6 @@ def node_coordinates(level):
     """
     if level.kind == KIND_PERIODIC:
         return level.h * np.arange(level.n_cells)
-    m = level.n_cells - 1
     t = level.h * np.arange(1, level.n_cells)
     x, y = np.meshgrid(t, t, indexing="ij")
     return x.ravel(), y.ravel()
@@ -255,47 +258,30 @@ def coarsen_lambda(hierarchy, lam):
     return NodalField(i - 1, vals)
 
 
-def _line_terms(y, h):
-    # max |centered first difference| / h and |second difference| / h^2 along
-    # one grid line; endpoints fall back to one-sided (first) and shifted
-    # (second) stencils
-    m = y.shape[0]
-    if m < 3:
-        d1 = np.abs(np.diff(y))
-        return (d1.max() / h if d1.size else 0.0), 0.0
-    first = np.empty_like(y)
-    first[1:-1] = 0.5 * (y[2:] - y[:-2])
-    first[0] = y[1] - y[0]
-    first[-1] = y[-1] - y[-2]
-    second = np.empty_like(y)
-    second[1:-1] = y[2:] - 2.0 * y[1:-1] + y[:-2]
-    second[0] = second[1]
-    second[-1] = second[-2]
-    return np.abs(first).max() / h, np.abs(second).max() / (h * h)
-
-
 def discrete_w2inf(level, g):
     """Surrogate for the W^{2,inf} quotient seminorm of nodal values.
 
     Takes the larger of max|g'| and max|g''| estimated by divided
-    differences per coordinate direction (one-sided at the ends of each
-    grid line).  Constants give exactly zero.
+    differences per coordinate direction: centered first differences,
+    one-sided at the ends of each grid line, and second differences at
+    the interior nodes (the ends would repeat their neighbours' values).
+    Every grid line has at least 3 nodes.  Constants give exactly zero.
     """
     vals = np.asarray(g, dtype=float)
+    if level.kind != KIND_PERIODIC:
+        m = level.n_cells - 1
+        vals = vals.reshape(m, m)
     h = level.h
     best = 0.0
-    if level.kind == KIND_PERIODIC:
-        t1, t2 = _line_terms(vals, h)
-        best = max(t1, t2)
-    else:
-        m = level.n_cells - 1
-        grid = vals.reshape(m, m)
-        for line in grid:  # x lines (vary y)
-            t1, t2 = _line_terms(line, h)
-            best = max(best, t1, t2)
-        for line in grid.T:  # y lines (vary x)
-            t1, t2 = _line_terms(line, h)
-            best = max(best, t1, t2)
+    for axis in range(vals.ndim):
+        y = np.moveaxis(vals, axis, 0)
+        first = max(
+            np.abs(0.5 * (y[2:] - y[:-2])).max(),
+            np.abs(y[1] - y[0]).max(),
+            np.abs(y[-1] - y[-2]).max(),
+        )
+        second = np.abs(y[2:] - 2.0 * y[1:-1] + y[:-2]).max()
+        best = max(best, first / h, second / (h * h))
     return best
 
 

@@ -24,7 +24,6 @@ from mgipm.precond import (
     g_apply,
     make_scaled_system,
     mg_apply,
-    symmetrized_g_handle,
 )
 
 __all__ = [
@@ -285,7 +284,7 @@ def _max_dual_step(v1, v2, dv1, dv2):
 def _inner_solver(prob, red, opts):
     """rhs -> (du, report): the scaled inner solve for red's lambda, unscaled.
 
-    One level runs CG on the symmetrized G; more levels run CGS with the
+    One level runs CG on the symmetric G; more levels run CGS with the
     multigrid cycle, whose preconditioner is built here once per call.
     """
     hier = prob.hierarchy
@@ -296,12 +295,11 @@ def _inner_solver(prob, red, opts):
         sys = make_scaled_system(
             finest, level, prob.operators[finest], red.lam, prob.beta
         )
-        handle = symmetrized_g_handle(sys)
-        sqw = np.sqrt(level.weights)
+        handle = LinearOperatorHandle(level.n_dof, lambda v: g_apply(sys, v))
 
         def inner(rhs):
-            y, rep = cg(handle, sqw * rhs, tol=opts.krylov_tol, maxit=opts.krylov_maxit)
-            return (y / sqw) / p, rep
+            y, rep = cg(handle, rhs, tol=opts.krylov_tol, maxit=opts.krylov_maxit)
+            return y / p, rep
 
         return inner
     mg = build_preconditioner(
@@ -324,7 +322,7 @@ def solve(prob, opts=None):
     """Run the predictor-corrector loop to convergence.
 
     With a single-level hierarchy the reduced systems are solved by CG on
-    the symmetrized form; with two or more levels by CGS preconditioned
+    the symmetric G; with two or more levels by CGS preconditioned
     with the multigrid cycle, rebuilt once per outer iteration for the
     current lambda.  Terminates when mu <= mu_tol * mu0 and every KKT
     block has dropped below resid_tol relative to its initial norm.

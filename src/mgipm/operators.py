@@ -5,7 +5,8 @@ data through an advection-diffusion-reaction equation by Crank-Nicolson
 steps, evaluated exactly by FFT, and returns the state at the final time;
 the elliptic operator applies the discrete solution map u -> y of the
 Dirichlet Poisson problem on the unit square.  Both expose a transpose in
-the plain nodal pairing.
+the plain nodal pairing; the lumped weight is one number per level, so that
+transpose is also the adjoint in the weighted pairing.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "EllipticConfig",
     "parabolic_build",
     "elliptic_build",
-    "adjoint_h_apply",
     "convergence_probe",
 ]
 
@@ -43,8 +43,8 @@ __all__ = [
 class ForwardOperator:
     """Base class: counts every apply, accepts fields or raw value arrays."""
 
-    # an operator whose K^{*h}K has exact low-rank structure overrides this
-    # with an n_dof x r matrix F, K^{*h}K = F F^T (see ParabolicOperator)
+    # an operator whose K^T K has exact low-rank structure overrides this
+    # with an n_dof x r matrix F, K^T K = F F^T (see ParabolicOperator)
     normal_factor = None
 
     def __init__(self, level_index, level):
@@ -66,12 +66,12 @@ class ForwardOperator:
 
     @cached_property
     def normal_matrix(self):
-        """Dense K^{*h} K, materialized once with 2 n_dof applies; small levels only.
+        """Dense K^T K, materialized once with 2 n_dof applies; small levels only.
 
         The matrix is shared by every later caller, so it is read-only.
         """
         h = materialize_columns(
-            lambda e: adjoint_h_apply(self, self.apply(e)), self.level.n_dof
+            lambda e: self.apply_transpose(self.apply(e)), self.level.n_dof
         )
         h.flags.writeable = False
         return h
@@ -96,7 +96,7 @@ class ZeroOperator(ForwardOperator):
 
     @cached_property
     def normal_factor(self):
-        """K^{*h}K = 0 exactly: the empty n_dof x 0 factor.  Read-only."""
+        """K^T K = 0 exactly: the empty n_dof x 0 factor.  Read-only."""
         f = np.zeros((self.level.n_dof, 0))
         f.flags.writeable = False
         return f
@@ -169,13 +169,13 @@ class ParabolicOperator(ForwardOperator):
 
     @cached_property
     def normal_factor(self):
-        """n x r matrix F with K^{*h}K = F F^T to roundoff; no operator applies.
+        """n x r matrix F with K^T K = F F^T to roundoff; no operator applies.
 
-        The weights are uniform, so K^{*h}K = K^T K, the circulant with
-        eigenvalues |symbol|^2.  Its real Fourier expansion has a constant
-        column, a cos/sin pair per frequency 0 < k < n/2 and, for even n, a
-        Nyquist column.  Modes at or below eps * max|symbol|^2 are dropped,
-        which changes K^{*h}K by at most that much.  Read-only.
+        K^T K is the circulant with eigenvalues |symbol|^2.  Its real Fourier
+        expansion has a constant column, a cos/sin pair per frequency
+        0 < k < n/2 and, for even n, a Nyquist column.  Modes at or below
+        eps * max|symbol|^2 are dropped, which changes K^T K by at most that
+        much.  Read-only.
         """
         n = self.level.n_dof
         lam = np.abs(self._symbol) ** 2
@@ -262,14 +262,6 @@ def elliptic_build(level, config=None, level_index=0):
     if level.kind != KIND_DIRICHLET:
         raise ValueError("elliptic operator requires a dirichlet-square level")
     return EllipticOperator(level_index, level)
-
-
-def adjoint_h_apply(op, u):
-    """Adjoint of K in the weighted pairing: W^{-1} K^T (W u)."""
-    vals, wrap = unwrap(u, op.level_index)
-    w = op.level.weights
-    out = op.apply_transpose(w * vals) / w
-    return NodalField(op.level_index, out) if wrap else out
 
 
 def convergence_probe(hierarchy, build, u_smooth):

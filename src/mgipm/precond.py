@@ -1,9 +1,10 @@
 """Two-grid and W-cycle preconditioners for the scaled inner systems.
 
 The inner system of each interior-point iteration is, after diagonal
-scaling, G = I + D_{1/p} K^{*h} K D_{1/p} with p = sqrt(lambda) and K^{*h}
-the weighted adjoint of the forward operator.  G is self-adjoint and >= I
-in the lumped inner product.  The preconditioner replaces G^{-1} by an
+scaling, G = I + D_{1/p} K^T K D_{1/p} with p = sqrt(lambda).  On the
+uniform grids of this package the lumped weight is one number per level,
+so the weighted adjoint of K is its transpose and G is symmetric and >= I
+in the plain Euclidean product.  The preconditioner replaces G^{-1} by an
 exact coarsest-level inverse propagated up through the hierarchy: the
 smooth component of a residual is solved coarsely, the rough remainder is
 left untouched (G acts nearly as the identity there), and intermediate
@@ -34,9 +35,7 @@ __all__ = [
     "ScaledSystem",
     "MgPreconditioner",
     "g_apply",
-    "symmetrized_g_handle",
     "build_preconditioner",
-    "two_grid_apply",
     "mg_apply",
     "materialize_g",
 ]
@@ -47,7 +46,7 @@ COARSEST_SOLVERS = ("auto", "dense", "cg")
 
 @dataclass
 class ScaledSystem:
-    """One level's scaled inner system G = I + D_{1/p} K^{*h} K D_{1/p}."""
+    """One level's scaled inner system G = I + D_{1/p} K^T K D_{1/p}."""
 
     level_index: int
     level: GridLevel
@@ -68,21 +67,9 @@ def make_scaled_system(level_index, level, operator, lam, beta):
 def g_apply(sys, u):
     """Apply G once; costs exactly two forward-operator applications."""
     vals, wrap = unwrap(u, sys.level_index)
-    w = sys.level.weights
-    t = sys.operator.apply(vals / sys.p)
-    t = sys.operator.apply_transpose(w * t) / w
-    out = vals + t / sys.p
+    op = sys.operator
+    out = vals + op.apply_transpose(op.apply(vals / sys.p)) / sys.p
     return NodalField(sys.level_index, out) if wrap else out
-
-
-def symmetrized_g_handle(sys):
-    """G conjugated by W^{1/2}: Euclidean-symmetric, SPD, suitable for CG."""
-    sqw = np.sqrt(sys.level.weights)
-
-    def apply(v):
-        return sqw * g_apply(sys, v / sqw)
-
-    return LinearOperatorHandle(sys.level.n_dof, apply)
 
 
 def materialize_g(sys):
@@ -109,15 +96,15 @@ class MgPreconditioner:
         if self._coarse_inverse is not None:
             return self._coarse_inverse(r)
         sys0 = self.systems[0]
-        sqw = np.sqrt(sys0.level.weights)
-        handle = symmetrized_g_handle(sys0)
-        z, report = cg(handle, sqw * r, tol=self.coarsest_tol, maxit=5000)
+        # g_apply is looked up per call, so a wrapper installed on it is seen
+        handle = LinearOperatorHandle(sys0.level.n_dof, lambda v: g_apply(sys0, v))
+        z, report = cg(handle, r, tol=self.coarsest_tol, maxit=5000)
         if not report.converged:
             raise RuntimeError(
                 f"coarsest-level CG stalled at {report.final_relative_residual:.2e}"
             )
         self.coarse_cg_iterations += report.iterations
-        return z / sqw
+        return z
 
 
 def build_preconditioner(
@@ -135,10 +122,10 @@ def build_preconditioner(
     fine-node values; every level must keep lambda >= beta > 0.
 
     "dense" inverts the coarsest G exactly to roundoff.  When the coarsest
-    operator has a normal_factor F (K^{*h}K = F F^T, rank r), that is the
+    operator has a normal_factor F (K^T K = F F^T, rank r), that is the
     Woodbury identity on G = I + B B^T with B = D_{1/p} F: a Cholesky
     factor of I_r + B^T B per call, O(n0 r^2), and O(n0 r) per solve.
-    Otherwise G is assembled from the operator's normal_matrix (K^{*h}K,
+    Otherwise G is assembled from the operator's normal_matrix (K^T K,
     materialized once per operator since it does not depend on lambda)
     and LU-factored.  "cg" runs unpreconditioned CG at coarsest_tol.
     "auto" picks "dense" whenever there is a factor, and otherwise up to
@@ -189,19 +176,12 @@ def _exact_inverse(sys):
     return partial(sla.lu_solve, sla.lu_factor(G))
 
 
-def two_grid_apply(mg, r):
-    """S r = rough part of r plus the interpolated exact coarse solve."""
-    if mg.n_levels != 2:
-        raise ValueError("two_grid_apply needs a two-level preconditioner")
-    vals, wrap = unwrap(r, 1)
-    out = _cycle(mg, vals, 1)
-    return NodalField(1, out) if wrap else out
-
-
 def mg_apply(mg, r):
     """W-cycle application of the multilevel approximate inverse.
 
-    The coarsest level solves exactly; every intermediate level improves
+    On two levels this is the two-grid map S r = r - J Pi r + J G_0^{-1} Pi r:
+    the rough part of r plus the interpolated exact coarse solve.  The
+    coarsest level solves exactly; every intermediate level improves
     the interpolated coarse map M with one Newton step 2M - M G M,
     realized as a second recursive correction of the residual
     r1 = r - G u; the finest level applies the map once and never

@@ -288,7 +288,7 @@ def enumerate_box_qp(K, w, beta, f, lo, hi):
 
 def toy_hierarchy(n=3):
     """A single fabricated periodic level with n dofs, for desk problems."""
-    level = GridLevel("periodic-interval", n, 1.0 / n, n, np.full(n, 1.0 / n))
+    level = GridLevel("periodic-interval", n)
     return GridHierarchy((level,))
 
 

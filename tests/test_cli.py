@@ -9,7 +9,6 @@ import pytest
 
 from mgipm.cli import (
     ConfigError,
-    _worker_count,
     emit_csv,
     main,
     parse_config,
@@ -453,21 +452,3 @@ class TestBoundsFile:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {bounds}: ")
         assert "finite" in err
-
-
-class TestWorkerCount:
-    def test_defaults_to_serial(self, monkeypatch):
-        monkeypatch.delenv("MGIPM_THREADS", raising=False)
-        assert _worker_count(8) == 1
-
-    def test_env_cap_applies(self, monkeypatch):
-        monkeypatch.setenv("MGIPM_THREADS", "3")
-        assert _worker_count(8) == 3
-
-    def test_cap_never_exceeds_jobs(self, monkeypatch):
-        monkeypatch.setenv("MGIPM_THREADS", "16")
-        assert _worker_count(2) == 2
-
-    def test_garbage_falls_back_to_serial(self, monkeypatch):
-        monkeypatch.setenv("MGIPM_THREADS", "plenty")
-        assert _worker_count(4) == 1

@@ -19,7 +19,7 @@ from mgipm.precond import (
     build_preconditioner,
     make_scaled_system,
     materialize_g,
-    two_grid_apply,
+    mg_apply,
 )
 
 
@@ -38,7 +38,7 @@ def dense_cell(builder, rule, n, beta):
     lam = NodalField(1, rule(node_coordinates(hier.finest)) + beta)
     mg = build_preconditioner(hier, ops, lam, beta)
     g = materialize_g(mg.systems[1])
-    return g, two_grid_apply(mg, g)
+    return g, mg_apply(mg, g)
 
 
 def assembled_two_grid(builder, rule, n, beta):

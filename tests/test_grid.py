@@ -11,6 +11,7 @@ from conftest import (
     prolong_matrix_periodic,
 )
 from mgipm.grid import (
+    GridLevel,
     NodalField,
     build_hierarchy,
     coarsen_lambda,
@@ -77,6 +78,20 @@ class TestBuildHierarchy:
 
 
 class TestWeights:
+    @pytest.mark.parametrize("kind, n, n_dof, w", [
+        ("periodic-interval", 12, 12, 1.0 / 12),
+        ("dirichlet-square", 8, 49, 1.0 / 64),
+    ], ids=["periodic", "square"])
+    def test_level_derives_uniform_read_only_weights(self, kind, n, n_dof, w):
+        level = GridLevel(kind, n)
+        assert level.h == 1.0 / n
+        assert level.n_dof == n_dof
+        assert_array_equal(level.weights, np.full(n_dof, w))
+        assert not level.weights.flags.writeable
+        with pytest.raises(ValueError):
+            level.weights[0] = 1.0
+        assert level == build_hierarchy(kind, n, 1).finest
+
     @pytest.mark.parametrize("n", [4, 8, 32])
     def test_periodic_weights_sum_to_one(self, n):
         level = build_hierarchy("periodic-interval", n, 1).finest
@@ -376,6 +391,28 @@ class TestDiscreteW2inf:
         level = build_hierarchy("dirichlet-square", 16, 1).finest
         x, _ = node_coordinates(level)
         assert discrete_w2inf(level, 3.0 * x) == pytest.approx(3.0, abs=1e-12)
+
+    def test_rough_fields_match_a_per_line_loop(self, rng):
+        # the result must be the same float as a loop over the grid lines;
+        # on the trend field the one-sided end stencils set the maximum
+        def line_max(y, h):
+            first = np.empty_like(y)
+            first[1:-1] = 0.5 * (y[2:] - y[:-2])
+            first[0] = y[1] - y[0]
+            first[-1] = y[-1] - y[-2]
+            second = y[2:] - 2.0 * y[1:-1] + y[:-2]
+            return max(np.abs(first).max() / h, np.abs(second).max() / (h * h))
+
+        level = build_hierarchy("dirichlet-square", 16, 1).finest
+        i, j = np.meshgrid(np.arange(15.0), np.arange(15.0), indexing="ij")
+        trend = 100.0 * (i + j) + i * i + j * j
+        for g in (rng.standard_normal((15, 15)), trend + 0.01 * rng.standard_normal((15, 15))):
+            expected = max(line_max(line, level.h) for line in (*g, *g.T))
+            assert discrete_w2inf(level, g.ravel()) == expected
+
+        line = build_hierarchy("periodic-interval", 4, 1).finest
+        g = rng.standard_normal(4)
+        assert discrete_w2inf(line, g) == line_max(g, line.h)
 
 
 class TestNormEquivalence:

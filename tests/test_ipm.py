@@ -25,12 +25,7 @@ from mgipm.ipm import (
 )
 from mgipm.krylov import LinearOperatorHandle, cg, cgs
 from mgipm.operators import DenseOperator, ParabolicConfig, ZeroOperator, parabolic_build
-from mgipm.precond import (
-    g_apply,
-    make_scaled_system,
-    materialize_g,
-    symmetrized_g_handle,
-)
+from mgipm.precond import g_apply, make_scaled_system, materialize_g
 
 
 def line_problem(n, beta, f_vals, lo=-10.0, hi=10.0):
@@ -337,25 +332,18 @@ class TestStepLengths:
 
 
 class TestSymmetrizedHandle:
+    """G is symmetric on uniform grids: CG runs on the plain g_apply handle."""
+
     def test_euclidean_symmetry(self, rng):
         level = build_hierarchy("periodic-interval", 48, 1).finest
         op = parabolic_build(level, ParabolicConfig())
         sys = make_scaled_system(0, level, op, NodalField(0, np.full(48, 1.5)), 1.0)
-        handle = symmetrized_g_handle(sys)
+        handle = LinearOperatorHandle(48, lambda v: g_apply(sys, v))
         u = rng.standard_normal(48)
         v = rng.standard_normal(48)
         lhs = float(handle.apply(u) @ v)
         rhs = float(u @ handle.apply(v))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-    def test_uniform_weights_change_nothing(self, rng):
-        # W = c I commutes with everything, so the conjugation is trivial
-        level = build_hierarchy("periodic-interval", 32, 1).finest
-        op = parabolic_build(level, ParabolicConfig())
-        sys = make_scaled_system(0, level, op, NodalField(0, np.full(32, 2.0)), 1.0)
-        handle = symmetrized_g_handle(sys)
-        v = rng.standard_normal(32)
-        assert_allclose(handle.apply(v), g_apply(sys, v), rtol=1e-13, atol=1e-15)
 
     def test_cg_and_cgs_reach_the_same_solution(self, rng):
         level = build_hierarchy("periodic-interval", 64, 1).finest
@@ -363,11 +351,9 @@ class TestSymmetrizedHandle:
         x = node_coordinates(level)
         sys = make_scaled_system(0, level, op, NodalField(0, np.sin(x) + 1.0), 1.0)
         rhs = rng.standard_normal(64)
-        sqw = np.sqrt(level.weights)
-        y, rep = cg(symmetrized_g_handle(sys), sqw * rhs, tol=1e-12)
-        assert rep.converged
-        via_cg = y / sqw
         gh = LinearOperatorHandle(64, lambda v: g_apply(sys, v))
+        via_cg, rep = cg(gh, rhs, tol=1e-12)
+        assert rep.converged
         ident = LinearOperatorHandle(64, lambda r: r)
         via_cgs, rep2 = cgs(gh, ident, rhs, tol=1e-12)
         assert rep2.converged

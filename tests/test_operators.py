@@ -1,4 +1,4 @@
-"""Forward maps: heat-type propagator, elliptic solve, weighted adjoints.
+"""Forward maps: heat-type propagator, elliptic solve, adjoints.
 
 The propagator is checked against closed-form Fourier decay, the elliptic
 map against a separable eigenfunction and the assembled dense -A^{-1} M,
@@ -7,7 +7,7 @@ and the adjoints against dense transposes.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from conftest import mass_matrix_dirichlet, mass_matrix_periodic, stiffness_matrix_dirichlet
 from mgipm.grid import NodalField, build_hierarchy, inner_h, mass_apply, node_coordinates
@@ -16,7 +16,6 @@ from mgipm.operators import (
     EllipticConfig,
     ParabolicConfig,
     ZeroOperator,
-    adjoint_h_apply,
     convergence_probe,
     elliptic_build,
     parabolic_build,
@@ -195,27 +194,8 @@ class TestAdjointH:
             u = rng.standard_normal(n)
             v = rng.standard_normal(n)
             lhs = inner_h(level, NodalField(0, op.apply(u)), NodalField(0, v))
-            rhs = inner_h(level, NodalField(0, u), NodalField(0, adjoint_h_apply(op, v)))
+            rhs = inner_h(level, NodalField(0, u), NodalField(0, op.apply_transpose(v)))
             assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
-
-    def test_uniform_weights_reduce_to_plain_transpose(self, rng):
-        # on the periodic line all weights equal h, so the weighted adjoint
-        # collapses to the Euclidean transpose
-        level = build_hierarchy("periodic-interval", 128, 1).finest
-        op = parabolic_build(level, ParabolicConfig())
-        v = rng.standard_normal(128)
-        assert_allclose(adjoint_h_apply(op, v), op.apply_transpose(v), rtol=1e-13, atol=1e-15)
-
-    def test_dense_identity(self, rng):
-        # materialize W^{-1} K^T W column by column and compare
-        level = build_hierarchy("dirichlet-square", 8, 1).finest
-        op = elliptic_build(level)
-        n = level.n_dof
-        K = np.column_stack([op.apply(col) for col in np.eye(n)])
-        W = np.diag(level.weights)
-        dense_adj = np.linalg.solve(W, K.T @ W)
-        v = rng.standard_normal(n)
-        assert_allclose(adjoint_h_apply(op, v), dense_adj @ v, rtol=1e-11, atol=1e-13)
 
 
 class TestMatvecCounter:
