@@ -2,8 +2,8 @@
 
 Both solvers see the system only through an apply callback and account for
 every operator application they consume.  The dense column-by-column
-materialization of such a callback lives here too, so that the operator,
-preconditioner and diagnostics layers share one loop.
+materialization of such a callback lives here too, so that the operator
+and preconditioner layers share one loop.
 """
 
 from __future__ import annotations

@@ -53,15 +53,18 @@ class ForwardOperator:
         self.matvec_counter = 0
 
     def apply(self, u):
-        self.matvec_counter += 1
-        vals, wrap = unwrap(u, self.level_index)
-        out = self._apply(vals)
-        return NodalField(self.level_index, out) if wrap else out
+        """K u for a vector or an n x k block (dof along axis 0; the elliptic
+        operator takes vectors only); one apply counted per column."""
+        return self._counted(self._apply, u)
 
     def apply_transpose(self, u):
-        self.matvec_counter += 1
+        """K^T u, taking what apply takes; one apply counted per column."""
+        return self._counted(self._apply_transpose, u)
+
+    def _counted(self, fn, u):
         vals, wrap = unwrap(u, self.level_index)
-        out = self._apply_transpose(vals)
+        out = fn(vals)
+        self.matvec_counter += vals.shape[1] if vals.ndim == 2 else 1
         return NodalField(self.level_index, out) if wrap else out
 
     @cached_property
@@ -189,10 +192,14 @@ class ParabolicOperator(ForwardOperator):
         return f
 
     def _apply(self, u):
-        return np.fft.irfft(self._symbol * np.fft.rfft(u), self.level.n_dof)
+        return self._filter(self._symbol, u)
 
     def _apply_transpose(self, u):
-        return np.fft.irfft(np.conj(self._symbol) * np.fft.rfft(u), self.level.n_dof)
+        return self._filter(np.conj(self._symbol), u)
+
+    def _filter(self, symbol, u):
+        symbol = symbol if u.ndim == 1 else symbol[:, None]
+        return np.fft.irfft(symbol * np.fft.rfft(u, axis=0), self.level.n_dof, axis=0)
 
 
 def parabolic_build(level, config=None, level_index=0):

@@ -65,10 +65,11 @@ def make_scaled_system(level_index, level, operator, lam, beta):
 
 
 def g_apply(sys, u):
-    """Apply G once; costs exactly two forward-operator applications."""
+    """Apply G to a vector or an n x k block; 2 operator applies per column."""
     vals, wrap = unwrap(u, sys.level_index)
     op = sys.operator
-    out = vals + op.apply_transpose(op.apply(vals / sys.p)) / sys.p
+    p = sys.p if vals.ndim == 1 else sys.p[:, None]
+    out = vals + op.apply_transpose(op.apply(vals / p)) / p
     return NodalField(sys.level_index, out) if wrap else out
 
 

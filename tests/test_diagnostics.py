@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
 from conftest import char_poly_coeffs, durand_kerner, power_dominant
+from mgipm import precond
 from mgipm.diagnostics import (
     _cell_spectrum,
     eigenvalues,
@@ -134,6 +135,33 @@ class TestTwoGridCell:
             k = min(n, ranks)
             assert c.shape == (k, k)
             assert (k == n) == (n <= 32)
+
+    def test_costs_two_fine_applies_per_column(self):
+        # G Q is one block g_apply: 2k fine applies, k = C.shape[0], and
+        # the exact coarse solve applies no coarse operator
+        ops = {}
+
+        def builder(level, level_index):
+            ops[level_index] = parabolic_builder(level, level_index)
+            return ops[level_index]
+
+        for n in (16, 80, 160):
+            _, c = two_grid_cell(builder, np.sin, n, 0.1)
+            assert ops[1].matvec_counter == 2 * c.shape[0]
+            assert ops[0].matvec_counter == 0
+
+    def test_looks_up_g_apply_on_precond(self, monkeypatch):
+        # a wrapper installed on precond.g_apply sees the one block call
+        calls = []
+        original = precond.g_apply
+
+        def spy(sys, u):
+            calls.append(np.shape(u))
+            return original(sys, u)
+
+        monkeypatch.setattr(precond, "g_apply", spy)
+        _, c = two_grid_cell(parabolic_builder, np.sin, 80, 0.1)
+        assert calls == [(80, c.shape[0])]
 
     def test_rejects_an_odd_cell_count(self):
         with pytest.raises(ValueError, match="even"):

@@ -219,6 +219,24 @@ class TestMatvecCounter:
         assert not out.any()
         assert op.matvec_counter == 1
 
+    @pytest.mark.parametrize("n", [8, 9, 63, 64])
+    def test_block_apply_matches_a_column_loop(self, n, rng):
+        # an n x k block is one transform along axis 0, bit for bit the
+        # columns applied one by one, and counts one apply per column
+        level = build_hierarchy("periodic-interval", n, 1).finest
+        op = parabolic_build(level, ParabolicConfig(c=0.3))
+        k = 5
+        block = rng.standard_normal((n, k))
+        for f in (op.apply, op.apply_transpose):
+            loop = np.column_stack([f(block[:, j]) for j in range(k)])
+            before = op.matvec_counter
+            out = f(block)
+            assert op.matvec_counter == before + k
+            assert_array_equal(out, loop)
+            field = f(NodalField(0, block))
+            assert field.level_index == 0
+            assert_array_equal(field.values, loop)
+
 
 class TestConvergenceProbe:
     def test_identical_coarse_and_fine_data_give_zero_error(self):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from mgipm.diagnostics import lemma_a2_check
 from mgipm.grid import NodalField, build_hierarchy, inner_h, l2_project, node_coordinates, prolong
@@ -79,6 +79,18 @@ class TestGApply:
         before = sys.operator.matvec_counter
         g_apply(sys, np.ones(32))
         assert sys.operator.matvec_counter == before + 2
+
+    def test_block_matches_a_column_loop(self, rng):
+        # p is broadcast down the rows of an n x k block: the same bits as
+        # the columns one by one, at exactly 2k operator applies
+        sys = single_system(63, 2.0 + np.sin(np.arange(63) / 5.0))
+        k = 7
+        block = rng.standard_normal((63, k))
+        loop = np.column_stack([g_apply(sys, block[:, j]) for j in range(k)])
+        before = sys.operator.matvec_counter
+        out = g_apply(sys, block)
+        assert sys.operator.matvec_counter == before + 2 * k
+        assert_array_equal(out, loop)
 
     def test_rejects_lambda_below_beta(self):
         level = build_hierarchy("periodic-interval", 8, 1).finest
