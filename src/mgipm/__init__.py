@@ -10,7 +10,6 @@ from mgipm.grid import (
     restrict,
     mass_apply,
     l2_project,
-    rough_project,
     coarsen_lambda,
     discrete_w2inf,
 )
@@ -38,7 +37,6 @@ from mgipm.ipm import (
     IpmState,
     IpmResult,
     OuterIterationRecord,
-    hessian_apply,
     kkt_residuals,
     compute_mu,
     reduce_to_scaled,

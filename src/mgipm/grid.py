@@ -38,7 +38,6 @@ __all__ = [
     "restrict",
     "mass_apply",
     "l2_project",
-    "rough_project",
     "coarsen_lambda",
     "discrete_w2inf",
 ]
@@ -229,17 +228,6 @@ def l2_project(hierarchy, u):
     coarse = hierarchy.levels[i - 1]
     rhs = restrict(hierarchy, NodalField(i, mass_apply(fine, u.values)))
     return NodalField(i - 1, coarse._mass_lu.solve(rhs.values))
-
-
-def rough_project(hierarchy, u):
-    """Complement of the coarse projection: u - J (Pi u).
-
-    The result has no L2 component in the coarse space; applying the
-    operation twice reproduces it.
-    """
-    coarse = l2_project(hierarchy, u)
-    back = prolong(hierarchy, coarse)
-    return NodalField(u.level_index, u.values - back.values)
 
 
 def coarsen_lambda(hierarchy, lam):

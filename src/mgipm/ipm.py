@@ -33,7 +33,6 @@ __all__ = [
     "IpmResult",
     "OuterIterationRecord",
     "ReducedSystem",
-    "hessian_apply",
     "kkt_residuals",
     "compute_mu",
     "reduce_to_scaled",
@@ -167,16 +166,6 @@ def _check_feasible(u, v1, v2, lo, hi):
         raise ValueError("multipliers must stay strictly positive")
 
 
-def hessian_apply(prob, u):
-    """A u = beta W u + K^T W K u, two operator applications."""
-    finest = prob.hierarchy.n_levels - 1
-    op = prob.operators[finest]
-    w = prob.hierarchy.finest.weights
-    vals, wrap = unwrap(u, finest)
-    out = prob.beta * w * vals + op.apply_transpose(w * op.apply(vals))
-    return NodalField(finest, out) if wrap else out
-
-
 def compute_mu(state, lo, hi):
     """Mehrotra duality measure ((u-lo).v1 + (hi-u).v2) / (2 N)."""
     u, v1, v2, lov, hiv = _values(state, lo, hi)
@@ -198,8 +187,8 @@ def kkt_residuals(prob, state, ktwf=None):
     w = prob.hierarchy.finest.weights
     if ktwf is None:
         ktwf = op.apply_transpose(w * unwrap(prob.f, finest)[0])
-    # the two terms of A u are subtracted one at a time: summing them first,
-    # as hessian_apply does, rounds differently and changes the iterates
+    # the two terms of A u are subtracted one at a time: summing them first
+    # rounds differently and changes the iterates
     r_u = ktwf - prob.beta * w * u - op.apply_transpose(w * op.apply(u)) - v2 + v1
     r_v1 = -v1 * (u - lo)
     r_v2 = -v2 * (hi - u)
@@ -227,10 +216,17 @@ def reduce_to_scaled(prob, state, r_u, r_v1, r_v2):
     m = v1 / g1 + v2 / g2
     lam_vals = m / w + prob.beta
     p = np.sqrt(lam_vals)
-    r = np.asarray(r_u, dtype=float) + np.asarray(r_v1, dtype=float) / g1
-    r = r - np.asarray(r_v2, dtype=float) / g2
-    rhs = (r / w) / p
+    rhs = _scaled_rhs(r_u, r_v1, r_v2, g1, g2, w, p)
     return ReducedSystem(m, NodalField(prob.hierarchy.n_levels - 1, lam_vals), p, rhs)
+
+
+def _scaled_rhs(r_u, r_v1, r_v2, g1, g2, w, p):
+    """D_{1/p} W^{-1} (r_u + r_v1/g1 - r_v2/g2): the rhs of reduce_to_scaled."""
+    r = np.asarray(r_u, dtype=float) + np.asarray(r_v1, dtype=float) / g1
+    r -= np.asarray(r_v2, dtype=float) / g2
+    r /= w
+    r /= p
+    return r
 
 
 def recover_full_step(state, du, r_v1, r_v2, lo, hi):
@@ -348,18 +344,22 @@ def solve(prob, opts=None):
 
     records = []
     converged = False
+    # every n-vector is dropped after its last use, not at its next binding
     for it in range(1, opts.max_outer + 1):
+        red = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
+        p, rhs = red.p, red.rhs
+        lam_w2 = discrete_w2inf(level, 1.0 / p)
+        inner = _inner_solver(prob, red, opts)
+        del red
+
+        # predictor: pure Newton step toward mu = 0
+        du_a, rep_pred = _checked(inner, rhs, it, "predictor")
+        _, dv1_a, dv2_a = recover_full_step(state, du_a, r_v1, r_v2, lo, hi)
+        del r_v1, r_v2
+        ap, ad = step_lengths(state, du_a, dv1_a, dv2_a, lo, hi, 1.0)
         u, v1, v2 = state.u.values, state.v1.values, state.v2.values
         g1 = u - lo
         g2 = hi - u
-        red = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
-        lam_w2 = discrete_w2inf(level, 1.0 / red.p)
-        inner = _inner_solver(prob, red, opts)
-
-        # predictor: pure Newton step toward mu = 0
-        du_a, rep_pred = _checked(inner, red.rhs, it, "predictor")
-        _, dv1_a, dv2_a = recover_full_step(state, du_a, r_v1, r_v2, lo, hi)
-        ap, ad = step_lengths(state, du_a, dv1_a, dv2_a, lo, hi, 1.0)
         mu_aff = float(
             (g1 + ap * du_a) @ (v1 + ad * dv1_a)
             + (g2 - ap * du_a) @ (v2 + ad * dv2_a)
@@ -369,18 +369,19 @@ def solve(prob, opts=None):
         # corrector: same matrix, centered rhs minus the affine cross terms
         r_v1c = sigma * mu - v1 * g1 - du_a * dv1_a
         r_v2c = sigma * mu - v2 * g2 + du_a * dv2_a
-        rhs_c = reduce_to_scaled(prob, state, r_u, r_v1c, r_v2c).rhs
-        du, rep_corr = _checked(inner, rhs_c, it, "corrector")
+        del du_a, dv1_a, dv2_a
+        rhs = _scaled_rhs(r_u, r_v1c, r_v2c, g1, g2, level.weights, p)
+        del r_u, g1, g2
+        du, rep_corr = _checked(inner, rhs, it, "corrector")
+        del rhs, inner  # frees the coarse factorization before the next build
         _, dv1, dv2 = recover_full_step(state, du, r_v1c, r_v2c, lo, hi)
-        # release this iteration's preconditioner (its coarse factorization)
-        # before the next one is built
-        del inner
         alpha_p, alpha_d = step_lengths(state, du, dv1, dv2, lo, hi, opts.step_fraction)
 
         state = IpmState(NodalField(finest, u + alpha_p * du),
                          NodalField(finest, v1 + alpha_d * dv1),
                          NodalField(finest, v2 + alpha_d * dv2),
                          0.0, it)
+        del u, v1, v2, du, dv1, dv2, r_v1c, r_v2c
         mu = state.mu = compute_mu(state, lo, hi)
         r_u, r_v1, r_v2, norms = kkt_residuals(prob, state, ktwf)
         records.append(OuterIterationRecord(

@@ -94,7 +94,9 @@ def cg(op, b, tol=1e-8, maxit=500):
         if rel <= tol:
             converged = True
             break
-        p = r + (rs_new / rs) * p
+        # p = r + (rs_new/rs) p, in place and rounded the same way
+        p *= rs_new / rs
+        p += r
         rs = rs_new
     return x, KrylovReport(iterations, float(rel), converged, matvecs)
 
@@ -162,11 +164,15 @@ def cgs(op, precond, b, tol=1e-8, maxit=500):
             u = r.copy()
             p = u.copy()
         else:
+            # u = r + beta q, p = u + beta (q + beta p): in place, same rounding
             beta = rho / rho_prev
-            u = r + beta * q
-            p = u + beta * (q + beta * p)
-        phat = precond.apply(p)
-        vhat = op.apply(phat)
+            np.multiply(q, beta, out=u)
+            u += r
+            p *= beta
+            p += q
+            p *= beta
+            p += u
+        vhat = op.apply(precond.apply(p))
         matvecs += 1
         sigma = float(rtilde @ vhat)
         if sigma == 0.0:
@@ -182,12 +188,12 @@ def cgs(op, precond, b, tol=1e-8, maxit=500):
             restarted = True
             continue
         alpha = rho / sigma
-        q = u - alpha * vhat
+        # q's buffer is reused once allocated; x is rebound as x_best may share it
+        q = np.subtract(u, alpha * vhat, out=q)
         uhat = precond.apply(u + q)
         x = x + alpha * uhat
-        Auhat = op.apply(uhat)
+        r -= alpha * op.apply(uhat)
         matvecs += 1
-        r = r - alpha * Auhat
         rho_prev = rho
         iterations += 1
         rel = np.linalg.norm(r) / bnorm

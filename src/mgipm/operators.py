@@ -53,8 +53,8 @@ class ForwardOperator:
         self.matvec_counter = 0
 
     def apply(self, u):
-        """K u for a vector or an n x k block (dof along axis 0; the elliptic
-        operator takes vectors only); one apply counted per column."""
+        """K u for a vector or an n x k block (dof along axis 0); one apply
+        counted per column."""
         return self._counted(self._apply, u)
 
     def apply_transpose(self, u):
@@ -248,9 +248,11 @@ class EllipticOperator(ForwardOperator):
         self.mass_full = (level.h**2) * level.mass_matrix
 
     def _solve_stiffness(self, rhs):
+        # the columns of an n x k block become k stacked m x m grids
         s = self._sine
-        x = rhs.reshape(s.shape)
-        return (s @ ((s @ x @ s) / self._eig) @ s).ravel()
+        x = rhs.reshape(s.shape) if rhs.ndim == 1 else rhs.T.reshape(-1, *s.shape)
+        y = s @ ((s @ x @ s) / self._eig) @ s
+        return y.reshape(rhs.shape[::-1]).T
 
     def _apply(self, u):
         return -self._solve_stiffness(self.mass_full @ u)

@@ -69,7 +69,10 @@ def g_apply(sys, u):
     vals, wrap = unwrap(u, sys.level_index)
     op = sys.operator
     p = sys.p if vals.ndim == 1 else sys.p[:, None]
-    out = vals + op.apply_transpose(op.apply(vals / p)) / p
+    # vals + K^T K (vals/p) / p, accumulated in the fresh K^T output
+    out = op.apply_transpose(op.apply(vals / p))
+    out /= p
+    out += vals
     return NodalField(sys.level_index, out) if wrap else out
 
 
@@ -170,11 +173,13 @@ def _exact_inverse(sys):
         b = factor / sys.p[:, None]
         core = sla.cho_factor(np.eye(b.shape[1]) + b.T @ b)
         return lambda r: r - b @ sla.cho_solve(core, b.T @ r)
+    # one Fortran-ordered array, scaled and LU-factored in place
     n = sys.level.n_dof
     dinv = 1.0 / sys.p
-    G = dinv[:, None] * sys.operator.normal_matrix * dinv[None, :]
+    G = np.multiply(sys.operator.normal_matrix, dinv[:, None], order="F")
+    G *= dinv[None, :]
     G[np.arange(n), np.arange(n)] += 1.0
-    return partial(sla.lu_solve, sla.lu_factor(G))
+    return partial(sla.lu_solve, sla.lu_factor(G, overwrite_a=True))
 
 
 def mg_apply(mg, r):

@@ -8,6 +8,8 @@ activity patterns.  None of it shares code with the package internals, so
 agreement between the two is meaningful.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -281,6 +283,29 @@ def enumerate_box_qp(K, w, beta, f, lo, hi):
             best = (val, u.copy())
     assert best is not None, "no activity pattern passed the sign checks"
     return best[1]
+
+
+# ---------------------------------------------------------------------------
+# working-set measurement
+
+def peak_vectors(fn, n):
+    """Peak memory that fn() allocates, in float64 vectors of length n.
+
+    Counted by tracemalloc from the call on, so arrays that exist before
+    the call do not count.
+    """
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not outer:
+            tracemalloc.stop()
+    return peak / (8.0 * n)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from mgipm.grid import (
     node_coordinates,
     prolong,
     restrict,
-    rough_project,
 )
 
 
@@ -322,27 +321,6 @@ class TestL2Project:
         hier = build_hierarchy("periodic-interval", 8, 2)
         with pytest.raises(ValueError):
             l2_project(hier, NodalField(0, np.zeros(8)))
-
-
-class TestRoughProject:
-    def test_coarse_space_fields_vanish(self, rng):
-        hier = build_hierarchy("dirichlet-square", 8, 2)
-        u = prolong(hier, NodalField(0, rng.standard_normal(49)))
-        out = rough_project(hier, u)
-        assert np.max(np.abs(out.values)) <= 1e-10 * np.max(np.abs(u.values))
-
-    def test_idempotence(self, rng):
-        hier = build_hierarchy("periodic-interval", 16, 2)
-        u = NodalField(1, rng.standard_normal(32))
-        once = rough_project(hier, u)
-        twice = rough_project(hier, once)
-        assert_allclose(twice.values, once.values, rtol=1e-10, atol=1e-12)
-
-    def test_alternating_field_is_pure_rough(self):
-        hier = build_hierarchy("periodic-interval", 4, 2)
-        alt = NodalField(1, np.array([1.0, -1, 1, -1, 1, -1, 1, -1]))
-        out = rough_project(hier, alt)
-        assert_allclose(out.values, alt.values, rtol=0, atol=1e-10)
 
 
 class TestCoarsenLambda:

@@ -8,15 +8,14 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import mgipm.ipm as ipm_mod
-from conftest import bisection_max_step, enumerate_box_qp, toy_hierarchy
+from conftest import bisection_max_step, enumerate_box_qp, peak_vectors, toy_hierarchy
 from mgipm.cli import two_bump_target
-from mgipm.grid import NodalField, build_hierarchy, node_coordinates
+from mgipm.grid import NodalField, build_hierarchy, l2_project, node_coordinates, prolong
 from mgipm.ipm import (
     ControlProblem,
     IpmOptions,
     IpmState,
     compute_mu,
-    hessian_apply,
     kkt_residuals,
     recover_full_step,
     reduce_to_scaled,
@@ -114,32 +113,6 @@ class TestIpmOptions:
     def test_rejects_out_of_range_values(self, kw):
         with pytest.raises(ValueError):
             IpmOptions(**kw)
-
-
-class TestHessianApply:
-    def test_zero_operator_leaves_weighted_scaling(self, rng):
-        prob = zero_problem(16, beta=2.0)
-        u = rng.standard_normal(16)
-        expected = 2.0 * prob.hierarchy.finest.weights * u
-        assert_allclose(hessian_apply(prob, u), expected, rtol=0, atol=0)
-
-    def test_symmetry(self, rng):
-        prob = line_problem(64, 1e-2, np.zeros(64))
-        for _ in range(5):
-            u = rng.standard_normal(64)
-            v = rng.standard_normal(64)
-            lhs = float(hessian_apply(prob, u) @ v)
-            rhs = float(u @ hessian_apply(prob, v))
-            assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
-
-    def test_dense_formula(self, rng):
-        prob = line_problem(16, 0.3, np.zeros(16))
-        op = prob.operators[0]
-        K = np.column_stack([op.apply(col) for col in np.eye(16)])
-        W = np.diag(prob.hierarchy.finest.weights)
-        A = 0.3 * W + K.T @ W @ K
-        u = rng.standard_normal(16)
-        assert_allclose(hessian_apply(prob, u), A @ u, rtol=1e-12, atol=1e-14)
 
 
 class TestKktResiduals:
@@ -283,7 +256,9 @@ class TestRecoverFullStep:
         v2 = state.v2.values
         g1 = u + 2.0
         g2 = 2.0 - u
-        row_u = hessian_apply(prob, du) - dv1 + dv2 - r_u
+        op = prob.operators[0]
+        w = prob.hierarchy.finest.weights
+        row_u = prob.beta * w * du + op.apply_transpose(w * op.apply(du)) - dv1 + dv2 - r_u
         assert np.linalg.norm(row_u) <= 1e-8 * np.linalg.norm(r_u)
         assert_allclose(v1 * du + g1 * dv1, r_v1, rtol=0, atol=1e-12)
         assert_allclose(-v2 * du + g2 * dv2, r_v2, rtol=0, atol=1e-12)
@@ -476,3 +451,38 @@ class TestSolve:
         result = solve(prob)
         assert result.converged
         assert len(calls) == len(result.records)
+
+
+def warm_parabolic_problem(n, levels):
+    """The parabolic `mgipm run` problem with the operator symbols and the
+    transfer matrices built up front; the coarse normal factor is left to
+    the solve, whose first preconditioner builds it."""
+    hier = build_hierarchy("periodic-interval", n >> (levels - 1), levels)
+    ops = [parabolic_build(lv, ParabolicConfig(), level_index=i)
+           for i, lv in enumerate(hier.levels)]
+    for i, (lv, op) in enumerate(zip(hier.levels, ops)):
+        op.apply(np.zeros(lv.n_dof))
+        if i > 0:
+            l2_project(hier, NodalField(i, np.zeros(lv.n_dof)))
+            prolong(hier, NodalField(i - 1, np.zeros(hier.levels[i - 1].n_dof)))
+    fin = levels - 1
+    f = ops[-1].apply(two_bump_target(node_coordinates(hier.finest)))
+    return ControlProblem(hier, ops, NodalField(fin, f), 1e-3,
+                          NodalField(fin, np.zeros(n)), NodalField(fin, np.ones(n)))
+
+
+class TestWorkingSet:
+    """Peak allocation of a whole solve, in finest-level n-vectors.
+
+    The bounds hold only if each outer iteration's temporaries are freed
+    after their last use and the Krylov and G updates run in place; with
+    stale temporaries the two solves below peak near 32 and 53 vectors.
+    """
+
+    @pytest.mark.parametrize("levels, bound", [(1, 24.0), (3, 45.0)])
+    def test_solve_peak_stays_within_bound(self, levels, bound):
+        prob = warm_parabolic_problem(4096, levels)
+        results = []
+        peak = peak_vectors(lambda: results.append(solve(prob)), 4096)
+        assert results[0].converged
+        assert peak <= bound

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from mgipm.krylov import KrylovBreakdown, LinearOperatorHandle, cg, cgs
+from mgipm.krylov import KrylovBreakdown, KrylovReport, LinearOperatorHandle, cg, cgs
 
 
 def counted_handle(matrix):
@@ -37,6 +37,94 @@ def textbook_cgs(A, b, steps):
         u = r + beta * q
         p = u + beta * (q + beta * p)
     return x
+
+
+def reference_cg(A, b, tol, maxit):
+    """Out-of-place CG with cg's stopping rule; returns (x, KrylovReport)."""
+    bnorm = np.linalg.norm(b)
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    rel = 1.0
+    for k in range(1, maxit + 1):
+        Ap = A @ p
+        alpha = rs / float(p @ Ap)
+        x = x + alpha * p
+        r = r - alpha * Ap
+        rs_new = float(r @ r)
+        rel = np.sqrt(rs_new) / bnorm
+        if rel <= tol:
+            return x, KrylovReport(k, float(rel), True, k)
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x, KrylovReport(maxit, float(rel), False, maxit)
+
+
+def reference_cgs(A, M, b, tol, maxit):
+    """Out-of-place CGS preconditioned by M, with cgs's confirmation,
+    restart, divergence-guard and best-iterate rules; the rho and sigma
+    breakdowns are outside its scope.  Returns (x, KrylovReport)."""
+    bnorm = np.linalg.norm(b)
+    x = np.zeros_like(b)
+    r = b.copy()
+    rtilde = r.copy()
+    rho_prev = None
+    matvecs = iterations = above = 0
+    rel = 1.0
+    converged = False
+    x_best, rel_best = x, rel
+    while iterations < maxit:
+        rho = float(rtilde @ r)
+        assert rho != 0.0
+        if rho_prev is None:
+            u = r.copy()
+            p = u.copy()
+        else:
+            beta = rho / rho_prev
+            u = r + beta * q
+            p = u + beta * (q + beta * p)
+        vhat = A @ (M @ p)
+        sigma = float(rtilde @ vhat)
+        assert sigma != 0.0
+        alpha = rho / sigma
+        q = u - alpha * vhat
+        uhat = M @ (u + q)
+        x = x + alpha * uhat
+        r = r - alpha * (A @ uhat)
+        matvecs += 2
+        rho_prev = rho
+        iterations += 1
+        rel = np.linalg.norm(r) / bnorm
+        if rel <= tol:
+            r_true = b - A @ x
+            matvecs += 1
+            rel = np.linalg.norm(r_true) / bnorm
+            if rel <= tol:
+                converged = True
+                break
+            r = r_true
+            rtilde = r.copy()
+            rho_prev = None
+        if rel < rel_best:
+            x_best, rel_best = x, rel
+        above = above + 1 if rel > 1e4 else 0
+        if above >= 20 or not np.isfinite(rel):
+            break
+    if not converged:
+        x = x_best
+        rel = np.linalg.norm(b - A @ x) / bnorm
+        matvecs += 1
+    return x, KrylovReport(iterations, float(rel), converged, matvecs)
+
+
+def nonsymmetric_system(n, cond, rng):
+    """Symmetric part with the given condition number plus a strictly upper
+    triangular perturbation, and the inverse of its diagonal."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = Q @ np.diag(np.logspace(0, np.log10(cond), n)) @ Q.T
+    A += 0.3 * np.triu(rng.standard_normal((n, n)), 1)
+    return A, np.diag(1.0 / np.diag(A))
 
 
 def spd_matrix(n, rng):
@@ -172,3 +260,38 @@ class TestCgs:
         _, rep_cgs = cgs(op_cgs, precond, b, tol=1e-10)
         assert rep_cg.matvecs == rep_cg.iterations
         assert rep_cgs.matvecs == 2 * rep_cgs.iterations + 1
+
+
+class TestInPlaceUpdatesMatchReference:
+    """cg and cgs update their vectors in place.  Rounded the same way, the
+    updates give the out-of-place references' iterates bit for bit."""
+
+    @pytest.mark.parametrize("tol, maxit", [(1e-12, 500), (0.0, 7)])
+    def test_cg(self, tol, maxit, rng):
+        A = spd_matrix(40, rng)
+        b = rng.standard_normal(40)
+        op, _ = counted_handle(A)
+        x, report = cg(op, b, tol=tol, maxit=maxit)
+        x_ref, report_ref = reference_cg(A, b, tol, maxit)
+        assert_array_equal(x, x_ref)
+        assert report == report_ref
+
+    @pytest.mark.parametrize("tol, restarts, converged", [
+        (1e-10, False, True),
+        (3e-15, True, True),
+        (1e-15, True, False),
+    ])
+    def test_cgs(self, tol, restarts, converged):
+        # near the attainable accuracy the recurrence claims convergence
+        # that the explicit residual refutes, and cgs restarts
+        A, M = nonsymmetric_system(40, 1e2, np.random.default_rng(20260822))
+        b = np.random.default_rng(7).standard_normal(40)
+        op, _ = counted_handle(A)
+        precond = LinearOperatorHandle(40, lambda r: M @ r)
+        x, report = cgs(op, precond, b, tol=tol, maxit=300)
+        x_ref, report_ref = reference_cgs(A, M, b, tol, 300)
+        assert_array_equal(x, x_ref)
+        assert report == report_ref
+        assert report.converged == converged
+        # one explicit residual per refuted confirmation, plus the last one
+        assert (report.matvecs > 2 * report.iterations + 1) == restarts

@@ -237,6 +237,21 @@ class TestMatvecCounter:
             assert field.level_index == 0
             assert_array_equal(field.values, loop)
 
+    @pytest.mark.parametrize("n, k", [(8, 1), (8, 2), (16, 5)])
+    def test_elliptic_block_apply_matches_a_column_loop(self, n, k, rng):
+        # the stiffness solve stacks the k columns as m x m grids, bit for
+        # bit the columns solved one by one; n x 1 stays n x 1
+        level = build_hierarchy("dirichlet-square", n, 1).finest
+        op = elliptic_build(level)
+        block = rng.standard_normal((level.n_dof, k))
+        for f in (op.apply, op.apply_transpose):
+            loop = np.column_stack([f(block[:, j]) for j in range(k)])
+            before = op.matvec_counter
+            out = f(block)
+            assert op.matvec_counter == before + k
+            assert out.shape == block.shape
+            assert_array_equal(out, loop)
+
 
 class TestConvergenceProbe:
     def test_identical_coarse_and_fine_data_give_zero_error(self):
