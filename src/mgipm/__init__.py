@@ -5,10 +5,8 @@ from mgipm.grid import (
     GridHierarchy,
     NodalField,
     build_hierarchy,
-    inner_h,
     prolong,
     restrict,
-    mass_apply,
     l2_project,
     coarsen_lambda,
     discrete_w2inf,
@@ -16,13 +14,11 @@ from mgipm.grid import (
 from mgipm.krylov import LinearOperatorHandle, KrylovReport, KrylovBreakdown, cg, cgs
 from mgipm.operators import (
     ForwardOperator,
-    DenseOperator,
     ZeroOperator,
     ParabolicConfig,
     EllipticConfig,
     parabolic_build,
     elliptic_build,
-    convergence_probe,
 )
 from mgipm.precond import (
     ScaledSystem,

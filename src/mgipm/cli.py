@@ -46,8 +46,6 @@ class RunArtifacts:
     solution_csv: str
 
 
-_EXPERIMENTS = ("parabolic-1d", "elliptic-2d", "spectral-table")
-
 # key -> type; strings pass through, "floatlist" parses comma-separated reals
 _SCHEMA = {
     "experiment": str,
@@ -349,18 +347,20 @@ def run_spectral_table(cfg):
     return RunArtifacts(path, path, path), True
 
 
+_RUNNERS = {
+    "parabolic-1d": run_parabolic,
+    "elliptic-2d": run_elliptic,
+    "spectral-table": run_spectral_table,
+}
+_EXPERIMENTS = tuple(_RUNNERS)
+
+
 def _execute(path, overrides):
     """Run one config file; returns the process exit code."""
     try:
         cfg = parse_config(path)
         cfg.update(overrides)
-        experiment = cfg["experiment"]
-        if experiment == "parabolic-1d":
-            _, converged = run_parabolic(cfg)
-        elif experiment == "elliptic-2d":
-            _, converged = run_elliptic(cfg)
-        else:
-            _, converged = run_spectral_table(cfg)
+        _, converged = _RUNNERS[cfg["experiment"]](cfg)
         if converged:
             return 0
         n_outer = cfg.get("max_outer", IpmOptions.max_outer)
@@ -394,15 +394,11 @@ def main(argv=None):
         p.add_argument("--beta", type=float, default=None)
     args = parser.parse_args(argv)
 
+    # the option dests are the config keys they override
     overrides = {}
-    if args.output_dir is not None:
-        overrides["output_dir"] = args.output_dir
-    if args.levels is not None:
-        overrides["levels"] = args.levels
-    if args.finest_n is not None:
-        overrides["finest_n"] = args.finest_n
-    if args.beta is not None:
-        overrides["beta"] = args.beta
+    for key in ("output_dir", "levels", "finest_n", "beta"):
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
     if args.command == "spectral":
         overrides["experiment"] = "spectral-table"
 

@@ -1,4 +1,4 @@
-"""Nested uniform grids, lumped inner products, and intergrid transfer.
+"""Nested uniform grids, lumped weights, mass matrices, and intergrid transfer.
 
 Two geometries are supported:
 
@@ -11,10 +11,10 @@ Two geometries are supported:
   ordered with the x index slow and the y index fast (C order of the
   (n-1, n-1) array).
 
-All weighted inner products here use the diagonal (lumped) weight vector; the
-consistent mass matrices are kept alongside for L2 projection and for the
-operators that need them.  Matrices are rescaled by h^{-d} so that their
-entries are mesh-size free.
+Each level carries its diagonal (lumped) weight vector and, alongside it,
+the consistent mass matrix for L2 projection and for the operators that
+need it.  Matrices are rescaled by h^{-d} so that their entries are
+mesh-size free.
 """
 
 from __future__ import annotations
@@ -33,10 +33,8 @@ __all__ = [
     "unwrap",
     "build_hierarchy",
     "node_coordinates",
-    "inner_h",
     "prolong",
     "restrict",
-    "mass_apply",
     "l2_project",
     "coarsen_lambda",
     "discrete_w2inf",
@@ -178,13 +176,6 @@ def node_coordinates(level):
     return x.ravel(), y.ravel()
 
 
-def inner_h(level, u, v):
-    """Lumped inner product sum(w * u * v) of two fields on the same level."""
-    if u.level_index != v.level_index:
-        raise ValueError(f"level mismatch: {u.level_index} vs {v.level_index}")
-    return float(np.sum(level.weights * u.values * v.values))
-
-
 def prolong(hierarchy, u):
     """Interpolate a field one level finer.
 
@@ -208,11 +199,6 @@ def restrict(hierarchy, r):
     return NodalField(i - 1, hierarchy._restrictions[i - 1] @ r.values)
 
 
-def mass_apply(level, u):
-    """Apply the rescaled consistent mass matrix to nodal values."""
-    return level.mass_matrix @ np.asarray(u)
-
-
 def l2_project(hierarchy, u):
     """L2-orthogonal projection onto the next coarser space.
 
@@ -226,7 +212,7 @@ def l2_project(hierarchy, u):
         raise ValueError("cannot project from the coarsest level")
     fine = hierarchy.levels[i]
     coarse = hierarchy.levels[i - 1]
-    rhs = restrict(hierarchy, NodalField(i, mass_apply(fine, u.values)))
+    rhs = restrict(hierarchy, NodalField(i, fine.mass_matrix @ u.values))
     return NodalField(i - 1, coarse._mass_lu.solve(rhs.values))
 
 

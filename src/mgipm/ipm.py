@@ -49,7 +49,8 @@ class ControlProblem:
     operators holds one forward operator per hierarchy level, coarsest
     first; only the finest enters the objective, the rest feed the
     preconditioner.  f, lo, hi all live on the finest level and lo < hi
-    must hold strictly at every node.
+    must hold strictly at every node, with room for solve's midpoint start
+    lo + (hi - lo)/2 to round strictly between them.
     """
 
     hierarchy: GridHierarchy
@@ -74,8 +75,14 @@ class ControlProblem:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         lo = np.asarray(self.lo.values, dtype=float)
         hi = np.asarray(self.hi.values, dtype=float)
-        if not np.all(lo < hi):
-            raise ValueError("bounds must satisfy lo < hi at every node")
+        # lo < mid < hi also gives lo < hi
+        with np.errstate(all="ignore"):
+            mid = lo + 0.5 * (hi - lo)
+        if not (np.all(lo < mid) and np.all(mid < hi)):
+            raise ValueError(
+                "bounds must satisfy lo < hi at every node, with the midpoint"
+                " lo + (hi - lo)/2 strictly between them"
+            )
 
 
 @dataclass

@@ -1,9 +1,7 @@
 """Matrix-free Krylov solvers: plain CG and preconditioned CGS.
 
 Both solvers see the system only through an apply callback and account for
-every operator application they consume.  The dense column-by-column
-materialization of such a callback lives here too, so that the operator
-and preconditioner layers share one loop.
+every operator application they consume.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ __all__ = [
     "KrylovBreakdown",
     "cg",
     "cgs",
-    "materialize_columns",
 ]
 
 
@@ -41,17 +38,6 @@ class KrylovReport:
     final_relative_residual: float
     converged: bool
     matvecs: int
-
-
-def materialize_columns(apply, n):
-    """Dense n-by-n matrix of a linear map, one basis vector at a time."""
-    out = np.empty((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        out[:, j] = apply(e)
-        e[j] = 0.0
-    return out
 
 
 def cg(op, b, tol=1e-8, maxit=500):
@@ -135,8 +121,6 @@ def cgs(op, precond, b, tol=1e-8, maxit=500):
     if bnorm == 0.0:
         return x, KrylovReport(0, 0.0, True, 0)
     r = b.copy()
-    rtilde = r.copy()
-    rho_prev = 0.0
     restarted = False
     matvecs = 0
     iterations = 0
@@ -147,6 +131,9 @@ def cgs(op, precond, b, tol=1e-8, maxit=500):
     above_guard = 0
     x_best, rel_best = x, rel
     while iterations < maxit:
+        if u is None:
+            # a fresh start (or restart) takes its shadow residual from r
+            rtilde = r.copy()
         rho = float(rtilde @ r)
         if abs(rho) < tiny * max(1.0, bnorm * bnorm):
             if restarted:
@@ -155,8 +142,6 @@ def cgs(op, precond, b, tol=1e-8, maxit=500):
                 )
             r = b - op.apply(x)
             matvecs += 1
-            rtilde = r.copy()
-            rho_prev = 0.0
             u = p = q = None
             restarted = True
             continue
@@ -182,17 +167,17 @@ def cgs(op, precond, b, tol=1e-8, maxit=500):
                 )
             r = b - op.apply(x)
             matvecs += 1
-            rtilde = r.copy()
-            rho_prev = 0.0
             u = p = q = None
             restarted = True
             continue
         alpha = rho / sigma
         # q's buffer is reused once allocated; x is rebound as x_best may share it
         q = np.subtract(u, alpha * vhat, out=q)
+        del vhat
         uhat = precond.apply(u + q)
         x = x + alpha * uhat
         r -= alpha * op.apply(uhat)
+        del uhat
         matvecs += 1
         rho_prev = rho
         iterations += 1
@@ -206,8 +191,6 @@ def cgs(op, precond, b, tol=1e-8, maxit=500):
                 converged = True
                 break
             r = r_true
-            rtilde = r.copy()
-            rho_prev = 0.0
             u = p = q = None
         if rel < rel_best:
             x_best, rel_best = x, rel

@@ -17,26 +17,15 @@ from math import ceil, isfinite
 
 import numpy as np
 
-from mgipm.grid import (
-    KIND_DIRICHLET,
-    KIND_PERIODIC,
-    NodalField,
-    mass_apply,
-    node_coordinates,
-    prolong,
-    unwrap,
-)
-from mgipm.krylov import materialize_columns
+from mgipm.grid import KIND_DIRICHLET, KIND_PERIODIC, NodalField, unwrap
 
 __all__ = [
     "ForwardOperator",
-    "DenseOperator",
     "ZeroOperator",
     "ParabolicConfig",
     "EllipticConfig",
     "parabolic_build",
     "elliptic_build",
-    "convergence_probe",
 ]
 
 
@@ -73,25 +62,18 @@ class ForwardOperator:
 
         The matrix is shared by every later caller, so it is read-only.
         """
-        h = materialize_columns(
-            lambda e: self.apply_transpose(self.apply(e)), self.level.n_dof
-        )
+        # column by column on purpose: one n x n block apply gives the same
+        # bits, but its K e and transform temporaries are n x n too, which
+        # raises the solve's peak allocation to several times this matrix
+        n = self.level.n_dof
+        h = np.empty((n, n))
+        e = np.zeros(n)
+        for j in range(n):
+            e[j] = 1.0
+            h[:, j] = self.apply_transpose(self.apply(e))
+            e[j] = 0.0
         h.flags.writeable = False
         return h
-
-
-class DenseOperator(ForwardOperator):
-    """Forward operator backed by an explicit matrix; handy for small cases."""
-
-    def __init__(self, level_index, level, matrix):
-        super().__init__(level_index, level)
-        self.matrix = np.asarray(matrix, dtype=float)
-
-    def _apply(self, u):
-        return self.matrix @ u
-
-    def _apply_transpose(self, u):
-        return self.matrix.T @ u
 
 
 class ZeroOperator(ForwardOperator):
@@ -272,33 +254,3 @@ def elliptic_build(level, config=None, level_index=0):
         raise ValueError("elliptic operator requires a dirichlet-square level")
     return EllipticOperator(level_index, level)
 
-
-def convergence_probe(hierarchy, build, u_smooth):
-    """Self-convergence errors of K_h against the finest level.
-
-    build(level) constructs the operator per level; u_smooth is evaluated at
-    the nodes to produce the input interpolant.  Each coarse result is
-    interpolated up to the finest grid and compared with the finest result
-    in the exact L2 norm.  Returns one error per non-finest level, coarsest
-    first.
-    """
-    results = []
-    for i, level in enumerate(hierarchy.levels):
-        op = build(level)
-        coords = node_coordinates(level)
-        u0 = u_smooth(coords) if level.kind == KIND_PERIODIC else u_smooth(*coords)
-        results.append(NodalField(i, op.apply(np.asarray(u0, dtype=float))))
-    finest = hierarchy.n_levels - 1
-    ref = results[-1].values
-    fine_level = hierarchy.finest
-    errors = []
-    for fld in results[:-1]:
-        while fld.level_index < finest:
-            fld = prolong(hierarchy, fld)
-        diff = fld.values - ref
-        l2 = np.sqrt(
-            fine_level.h ** fine_level.dim
-            * float(diff @ mass_apply(fine_level, diff))
-        )
-        errors.append(l2)
-    return errors

@@ -29,7 +29,7 @@ from mgipm.grid import (
     prolong,
     unwrap,
 )
-from mgipm.krylov import LinearOperatorHandle, cg, materialize_columns
+from mgipm.krylov import LinearOperatorHandle, cg
 
 __all__ = [
     "ScaledSystem",
@@ -37,7 +37,6 @@ __all__ = [
     "g_apply",
     "build_preconditioner",
     "mg_apply",
-    "materialize_g",
 ]
 
 DENSE_COARSE_LIMIT = 2048
@@ -74,11 +73,6 @@ def g_apply(sys, u):
     out /= p
     out += vals
     return NodalField(sys.level_index, out) if wrap else out
-
-
-def materialize_g(sys):
-    """Dense matrix of G, column by column.  Small levels only."""
-    return materialize_columns(lambda e: g_apply(sys, e), sys.level.n_dof)
 
 
 @dataclass

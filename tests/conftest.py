@@ -5,7 +5,9 @@ stiffness matrices by explicit element loops, transfer matrices from node
 geometry, eigenvalues from the characteristic polynomial or from power
 iteration, step lengths by bisection, and the tiny QP by enumerating
 activity patterns.  None of it shares code with the package internals, so
-agreement between the two is meaningful.
+agreement between the two is meaningful.  The exceptions are marked: a
+dense forward operator for desk problems and the self-convergence probe of
+the forward maps, which drive the package's public interface.
 """
 
 import tracemalloc
@@ -14,7 +16,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mgipm.grid import GridHierarchy, GridLevel
+from mgipm.grid import (
+    KIND_PERIODIC,
+    GridHierarchy,
+    GridLevel,
+    NodalField,
+    node_coordinates,
+    prolong,
+)
+from mgipm.operators import ForwardOperator
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +293,55 @@ def enumerate_box_qp(K, w, beta, f, lo, hi):
             best = (val, u.copy())
     assert best is not None, "no activity pattern passed the sign checks"
     return best[1]
+
+
+# ---------------------------------------------------------------------------
+# forward-operator test double and order-of-accuracy oracle (these two use
+# the package's fields, transfers and mass matrices)
+
+class DenseOperator(ForwardOperator):
+    """Forward operator backed by an explicit matrix; handy for small cases."""
+
+    def __init__(self, level_index, level, matrix):
+        super().__init__(level_index, level)
+        self.matrix = np.asarray(matrix, dtype=float)
+
+    def _apply(self, u):
+        return self.matrix @ u
+
+    def _apply_transpose(self, u):
+        return self.matrix.T @ u
+
+
+def convergence_probe(hierarchy, build, u_smooth):
+    """Self-convergence errors of K_h against the finest level.
+
+    build(level) constructs the operator per level; u_smooth is evaluated at
+    the nodes to produce the input interpolant.  Each coarse result is
+    interpolated up to the finest grid and compared with the finest result
+    in the exact L2 norm.  Returns one error per non-finest level, coarsest
+    first.
+    """
+    results = []
+    for i, level in enumerate(hierarchy.levels):
+        op = build(level)
+        coords = node_coordinates(level)
+        u0 = u_smooth(coords) if level.kind == KIND_PERIODIC else u_smooth(*coords)
+        results.append(NodalField(i, op.apply(np.asarray(u0, dtype=float))))
+    finest = hierarchy.n_levels - 1
+    ref = results[-1].values
+    fine_level = hierarchy.finest
+    errors = []
+    for fld in results[:-1]:
+        while fld.level_index < finest:
+            fld = prolong(hierarchy, fld)
+        diff = fld.values - ref
+        l2 = np.sqrt(
+            fine_level.h ** fine_level.dim
+            * float(diff @ (fine_level.mass_matrix @ diff))
+        )
+        errors.append(l2)
+    return errors
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,10 @@ class TestMain:
                      id="h_list-odd"),
         pytest.param("experiment = spectral-table\nh_list = 0.3\n", id="h_list-coarse"),
         pytest.param("experiment = spectral-table\nh_list = 0\n", id="h_list-0"),
+        pytest.param("experiment = parabolic-1d\nlo = 1\nhi = 1.0000000000000002\n",
+                     id="bounds-one-ulp-apart"),
+        pytest.param("experiment = parabolic-1d\nlo = -1e308\nhi = 1e308\n",
+                     id="bounds-gap-overflows"),
     ])
     def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, body):
         path = write_config(tmp_path, body + f"finest_n = 16\noutput_dir = {tmp_path}\n")

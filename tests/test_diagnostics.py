@@ -16,12 +16,7 @@ from mgipm.diagnostics import (
 )
 from mgipm.grid import NodalField, build_hierarchy, l2_project, node_coordinates, prolong
 from mgipm.operators import ParabolicConfig, ZeroOperator, parabolic_build
-from mgipm.precond import (
-    build_preconditioner,
-    make_scaled_system,
-    materialize_g,
-    mg_apply,
-)
+from mgipm.precond import build_preconditioner, g_apply, make_scaled_system, mg_apply
 
 
 def parabolic_builder(level, level_index):
@@ -38,7 +33,7 @@ def dense_cell(builder, rule, n, beta):
     ops = [builder(level, i) for i, level in enumerate(hier.levels)]
     lam = NodalField(1, rule(node_coordinates(hier.finest)) + beta)
     mg = build_preconditioner(hier, ops, lam, beta)
-    g = materialize_g(mg.systems[1])
+    g = g_apply(mg.systems[1], np.eye(n))
     return g, mg_apply(mg, g)
 
 
@@ -48,8 +43,9 @@ def assembled_two_grid(builder, rule, n, beta):
     hier = build_hierarchy("periodic-interval", n // 2, 2)
     coarse, fine = hier.levels
     g0, g = (
-        materialize_g(make_scaled_system(
-            i, lv, builder(lv, i), NodalField(i, rule(node_coordinates(lv)) + beta), beta))
+        g_apply(make_scaled_system(
+            i, lv, builder(lv, i), NodalField(i, rule(node_coordinates(lv)) + beta), beta),
+            np.eye(lv.n_dof))
         for i, lv in enumerate(hier.levels)
     )
     J = np.column_stack(
@@ -67,7 +63,7 @@ class TestMaterialize:
         sys = make_scaled_system(
             0, level, ZeroOperator(0, level), NodalField(0, np.ones(16)), 1.0
         )
-        assert_allclose(materialize_g(sys), np.eye(16), rtol=0, atol=0)
+        assert_allclose(g_apply(sys, np.eye(16)), np.eye(16), rtol=0, atol=0)
 
     def test_weighted_symmetry_of_g(self):
         # W G = G^T W up to roundoff: G is self-adjoint in the lumped pairing

@@ -1,4 +1,4 @@
-"""Grid hierarchy, transfer operators, and mesh-dependent inner products."""
+"""Grid hierarchy, transfer operators, lumped weights and mass matrices."""
 
 import numpy as np
 import pytest
@@ -16,9 +16,7 @@ from mgipm.grid import (
     build_hierarchy,
     coarsen_lambda,
     discrete_w2inf,
-    inner_h,
     l2_project,
-    mass_apply,
     node_coordinates,
     prolong,
     restrict,
@@ -114,33 +112,6 @@ class TestWeights:
                         acc[ix, iy] += area / 3.0
         expected = acc[1:n, 1:n].ravel()
         assert_allclose(level.weights, expected, rtol=1e-14)
-
-
-class TestInnerH:
-    def test_constant_pairing_is_total_measure(self):
-        level = build_hierarchy("periodic-interval", 8, 1).finest
-        ones = NodalField(0, np.ones(8))
-        assert inner_h(level, ones, ones) == 1.0
-
-    def test_zero_field(self):
-        level = build_hierarchy("periodic-interval", 8, 1).finest
-        z = NodalField(0, np.zeros(8))
-        u = NodalField(0, np.arange(8.0))
-        assert inner_h(level, z, u) == 0.0
-
-    def test_square_indicator(self):
-        level = build_hierarchy("dirichlet-square", 4, 1).finest
-        e = np.zeros(9)
-        e[4] = 1.0
-        ind = NodalField(0, e)
-        assert inner_h(level, ind, ind) == 1.0 / 16.0
-
-    def test_level_mismatch_rejected(self):
-        hier = build_hierarchy("periodic-interval", 4, 2)
-        u = NodalField(0, np.ones(4))
-        v = NodalField(1, np.ones(8))
-        with pytest.raises(ValueError):
-            inner_h(hier.finest, u, v)
 
 
 class TestProlong:
@@ -247,19 +218,19 @@ class TestRestrict:
 class TestMassApply:
     def test_constants_are_preserved_1d(self):
         level = build_hierarchy("periodic-interval", 8, 1).finest
-        out = mass_apply(level, np.ones(8))
+        out = level.mass_matrix @ np.ones(8)
         assert_allclose(out, 1.0, atol=1e-14)
 
     def test_zero(self):
         level = build_hierarchy("dirichlet-square", 8, 1).finest
-        assert not mass_apply(level, np.zeros(49)).any()
+        assert not (level.mass_matrix @ np.zeros(49)).any()
 
     def test_symmetry(self, rng):
         level = build_hierarchy("dirichlet-square", 8, 1).finest
         u = rng.standard_normal(49)
         v = rng.standard_normal(49)
-        lhs = float(mass_apply(level, u) @ v)
-        rhs = float(u @ mass_apply(level, v))
+        lhs = float((level.mass_matrix @ u) @ v)
+        rhs = float(u @ (level.mass_matrix @ v))
         assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
     def test_matches_element_assembly_1d(self, rng):
@@ -267,7 +238,7 @@ class TestMassApply:
             level = build_hierarchy("periodic-interval", n, 1).finest
             M = mass_matrix_periodic(n) / level.h
             u = rng.standard_normal(n)
-            assert_allclose(mass_apply(level, u), M @ u, rtol=1e-13, atol=1e-15)
+            assert_allclose(level.mass_matrix @ u, M @ u, rtol=1e-13, atol=1e-15)
             stored = level.mass_matrix
             assert_allclose(stored.toarray(), M, rtol=1e-13, atol=0)
             # three stored entries per row, in ascending column order
@@ -279,7 +250,7 @@ class TestMassApply:
         level = build_hierarchy("dirichlet-square", 8, 1).finest
         M = mass_matrix_dirichlet(8).toarray() / level.h ** 2
         u = rng.standard_normal(49)
-        assert_allclose(mass_apply(level, u), M @ u, rtol=1e-13, atol=1e-14)
+        assert_allclose(level.mass_matrix @ u, M @ u, rtol=1e-13, atol=1e-14)
 
 
 class TestL2Project:

@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import mgipm.ipm as ipm_mod
-from conftest import bisection_max_step, enumerate_box_qp, peak_vectors, toy_hierarchy
+from conftest import (
+    DenseOperator,
+    bisection_max_step,
+    enumerate_box_qp,
+    peak_vectors,
+    toy_hierarchy,
+)
 from mgipm.cli import two_bump_target
 from mgipm.grid import NodalField, build_hierarchy, l2_project, node_coordinates, prolong
 from mgipm.ipm import (
@@ -23,8 +29,8 @@ from mgipm.ipm import (
     step_lengths,
 )
 from mgipm.krylov import LinearOperatorHandle, cg, cgs
-from mgipm.operators import DenseOperator, ParabolicConfig, ZeroOperator, parabolic_build
-from mgipm.precond import g_apply, make_scaled_system, materialize_g
+from mgipm.operators import ParabolicConfig, ZeroOperator, parabolic_build
+from mgipm.precond import g_apply, make_scaled_system
 
 
 def line_problem(n, beta, f_vals, lo=-10.0, hi=10.0):
@@ -85,6 +91,13 @@ class TestControlProblem:
         with pytest.raises(ValueError):
             ControlProblem(hier, [op], NodalField(0, np.zeros(8)), 1.0,
                            NodalField(0, lo), NodalField(0, hi))
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0000000000000002), (-1e308, 1e308)],
+                             ids=["one-ulp", "overflowing-gap"])
+    def test_rejects_bounds_whose_midpoint_is_not_inside(self, lo, hi):
+        # lo < hi holds, but the midpoint start rounds onto a bound or to inf
+        with pytest.raises(ValueError, match="midpoint"):
+            zero_problem(8, lo=lo, hi=hi)
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
@@ -210,7 +223,7 @@ class TestReduceToScaled:
         red = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
         sys = make_scaled_system(0, prob.hierarchy.finest, prob.operators[0],
                                  red.lam, prob.beta)
-        G = materialize_g(sys)
+        G = g_apply(sys, np.eye(64))
         du = np.linalg.solve(G, red.rhs) / red.p
         op = prob.operators[0]
         K = np.column_stack([op.apply(col) for col in np.eye(64)])
@@ -249,7 +262,7 @@ class TestRecoverFullStep:
         red = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
         sys = make_scaled_system(0, prob.hierarchy.finest, prob.operators[0],
                                  red.lam, prob.beta)
-        du_scaled = np.linalg.solve(materialize_g(sys), red.rhs)
+        du_scaled = np.linalg.solve(g_apply(sys, np.eye(64)), red.rhs)
         du, dv1, dv2 = recover_full_step(state, du_scaled / red.p, r_v1, r_v2,
                                          prob.lo, prob.hi)
         v1 = state.v1.values
