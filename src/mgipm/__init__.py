@@ -11,7 +11,7 @@ from mgipm.grid import (
     coarsen_lambda,
     discrete_w2inf,
 )
-from mgipm.krylov import LinearOperatorHandle, KrylovReport, KrylovBreakdown, cg, cgs
+from mgipm.krylov import KrylovReport, KrylovBreakdown, cg, cgs
 from mgipm.operators import (
     ForwardOperator,
     ZeroOperator,

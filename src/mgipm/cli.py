@@ -180,8 +180,6 @@ def _bounds(cfg, n, default_lo, default_hi):
                 raise ConfigError(f"{key} must be finite, got {cfg[key]}")
         lo = np.full(n, cfg.get("lo", default_lo))
         hi = np.full(n, cfg.get("hi", default_hi))
-    if not np.all(lo < hi):
-        raise ConfigError("bounds must satisfy lo < hi at every node")
     return lo, hi
 
 
@@ -199,15 +197,13 @@ def _ipm_options(cfg):
 
 
 def _parabolic_config(cfg, c1_default):
-    op_cfg = ParabolicConfig(
-        a=cfg.get("a", 4e-3), b=cfg.get("b", 0.4), c=cfg.get("c", 0.0),
-        T=cfg.get("T", 0.8), c1=cfg.get("c1", c1_default),
-    )
     try:
-        op_cfg.validate()
+        return ParabolicConfig(
+            a=cfg.get("a", 4e-3), b=cfg.get("b", 0.4), c=cfg.get("c", 0.0),
+            T=cfg.get("T", 0.8), c1=cfg.get("c1", c1_default),
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return op_cfg
 
 
 def _problem(hier, ops, f_vals, beta, lo, hi):
@@ -224,8 +220,6 @@ def _problem(hier, ops, f_vals, beta, lo, hi):
 def _hierarchy(cfg, kind, default_n):
     finest_n = cfg.get("finest_n", default_n)
     levels = cfg.get("levels", 2)
-    if levels < 1:
-        raise ConfigError("levels must be >= 1")
     n0 = finest_n
     for _ in range(levels - 1):
         if n0 % 2:

@@ -53,7 +53,7 @@ class NodalField:
 
 
 def unwrap(u, level_index):
-    """Float values of a NodalField or plain array, and whether it was a field.
+    """Float values of a NodalField or plain array.
 
     A field must live on level_index; plain arrays are taken as they are.
     """
@@ -62,8 +62,8 @@ def unwrap(u, level_index):
             raise ValueError(
                 f"field on level {u.level_index}, expected level {level_index}"
             )
-        return np.asarray(u.values, dtype=float), True
-    return np.asarray(u, dtype=float), False
+        u = u.values
+    return np.asarray(u, dtype=float)
 
 
 @dataclass(frozen=True)

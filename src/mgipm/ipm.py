@@ -17,7 +17,7 @@ from math import isfinite
 import numpy as np
 
 from mgipm.grid import GridHierarchy, NodalField, discrete_w2inf, unwrap
-from mgipm.krylov import LinearOperatorHandle, cg, cgs
+from mgipm.krylov import cg, cgs
 from mgipm.precond import (
     COARSEST_SOLVERS,
     build_preconditioner,
@@ -163,7 +163,7 @@ class ReducedSystem:
 def _values(state, *fields):
     """Values of u, v1, v2 and of further fields, all on the level of state.u."""
     level_index = state.u.level_index
-    return [unwrap(f, level_index)[0] for f in (state.u, state.v1, state.v2, *fields)]
+    return [unwrap(f, level_index) for f in (state.u, state.v1, state.v2, *fields)]
 
 
 def _check_feasible(u, v1, v2, lo, hi):
@@ -193,7 +193,7 @@ def kkt_residuals(prob, state, ktwf=None):
     op = prob.operators[finest]
     w = prob.hierarchy.finest.weights
     if ktwf is None:
-        ktwf = op.apply_transpose(w * unwrap(prob.f, finest)[0])
+        ktwf = op.apply_transpose(w * unwrap(prob.f, finest))
     # the two terms of A u are subtracted one at a time: summing them first
     # rounds differently and changes the iterates
     r_u = ktwf - prob.beta * w * u - op.apply_transpose(w * op.apply(u)) - v2 + v1
@@ -291,17 +291,15 @@ def _inner_solver(prob, red, opts):
     multigrid cycle, whose preconditioner is built here once per call.
     """
     hier = prob.hierarchy
-    finest = hier.n_levels - 1
-    level = hier.finest
     p = red.p
+    # the lambdas look g_apply and mg_apply up per call, so a wrapper
+    # installed on them is seen
     if hier.n_levels == 1:
-        sys = make_scaled_system(
-            finest, level, prob.operators[finest], red.lam, prob.beta
-        )
-        handle = LinearOperatorHandle(level.n_dof, lambda v: g_apply(sys, v))
+        sys = make_scaled_system(prob.operators[-1], red.lam.values, prob.beta)
 
         def inner(rhs):
-            y, rep = cg(handle, rhs, tol=opts.krylov_tol, maxit=opts.krylov_maxit)
+            y, rep = cg(lambda v: g_apply(sys, v), rhs,
+                        tol=opts.krylov_tol, maxit=opts.krylov_maxit)
             return y / p, rep
 
         return inner
@@ -311,11 +309,10 @@ def _inner_solver(prob, red, opts):
         coarsest_tol=opts.coarsest_tol,
     )
     sys = mg.systems[-1]
-    gh = LinearOperatorHandle(level.n_dof, lambda v: g_apply(sys, v))
-    ph = LinearOperatorHandle(level.n_dof, lambda v: mg_apply(mg, v))
 
     def inner(rhs):
-        y, rep = cgs(gh, ph, rhs, tol=opts.krylov_tol, maxit=opts.krylov_maxit)
+        y, rep = cgs(lambda v: g_apply(sys, v), lambda v: mg_apply(mg, v), rhs,
+                     tol=opts.krylov_tol, maxit=opts.krylov_maxit)
         return y / p, rep
 
     return inner
@@ -336,11 +333,11 @@ def solve(prob, opts=None):
     level = prob.hierarchy.finest
     n = level.n_dof
     op = prob.operators[finest]
-    lo = unwrap(prob.lo, finest)[0]
-    hi = unwrap(prob.hi, finest)[0]
+    lo = unwrap(prob.lo, finest)
+    hi = unwrap(prob.hi, finest)
 
     matvec0 = op.matvec_counter
-    ktwf = op.apply_transpose(level.weights * unwrap(prob.f, finest)[0])
+    ktwf = op.apply_transpose(level.weights * unwrap(prob.f, finest))
 
     state = IpmState(NodalField(finest, lo + 0.5 * (hi - lo)),
                      NodalField(finest, np.ones(n)), NodalField(finest, np.ones(n)),

@@ -7,12 +7,10 @@ every operator application they consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "LinearOperatorHandle",
     "KrylovReport",
     "KrylovBreakdown",
     "cg",
@@ -25,14 +23,6 @@ class KrylovBreakdown(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LinearOperatorHandle:
-    """A square operator given by its action on a vector."""
-
-    dim: int
-    apply: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class KrylovReport:
     iterations: int
     final_relative_residual: float
@@ -40,13 +30,14 @@ class KrylovReport:
     matvecs: int
 
 
-def cg(op, b, tol=1e-8, maxit=500):
+def cg(apply, b, tol=1e-8, maxit=500):
     """Conjugate gradients for a symmetric positive definite operator.
 
-    Convergence is declared when the recurrence residual satisfies
-    ||b - op x|| <= tol * ||b|| in the Euclidean norm.  A search direction
-    with p^T A p <= 0 means the operator is not SPD; that aborts with
-    KrylovBreakdown rather than returning garbage.
+    apply(v) returns A v.  Convergence is declared when the recurrence
+    residual satisfies ||b - A x|| <= tol * ||b|| in the Euclidean norm.  A
+    search direction with p^T A p <= 0 means the operator is not SPD; that
+    aborts with KrylovBreakdown rather than returning garbage.  A
+    non-finite residual stops the run at once with converged=False.
 
     Returns (x, KrylovReport).  One operator apply per iteration; the zero
     right-hand side short-circuits to the zero solution.
@@ -64,7 +55,7 @@ def cg(op, b, tol=1e-8, maxit=500):
     converged = False
     iterations = 0
     for _ in range(maxit):
-        Ap = op.apply(p)
+        Ap = apply(p)
         matvecs += 1
         iterations += 1
         pAp = float(p @ Ap)
@@ -80,6 +71,8 @@ def cg(op, b, tol=1e-8, maxit=500):
         if rel <= tol:
             converged = True
             break
+        if not np.isfinite(rel):
+            break
         # p = r + (rs_new/rs) p, in place and rounded the same way
         p *= rs_new / rs
         p += r
@@ -87,25 +80,25 @@ def cg(op, b, tol=1e-8, maxit=500):
     return x, KrylovReport(iterations, float(rel), converged, matvecs)
 
 
-def cgs(op, precond, b, tol=1e-8, maxit=500):
+def cgs(apply, precond, b, tol=1e-8, maxit=500):
     """Conjugate gradients squared with left preconditioning.
 
     Suitable for the nonsymmetric systems produced by the scaled reduction.
-    The preconditioner enters only through `precond.apply`; convergence is
-    judged on the TRUE unpreconditioned relative residual, maintained by the
-    recurrences and confirmed explicitly (one extra apply) before success is
-    reported.
+    apply(v) returns A v and precond(v) the preconditioned vector;
+    convergence is judged on the TRUE unpreconditioned relative residual,
+    maintained by the recurrences and confirmed explicitly (one extra
+    apply) before success is reported.
 
     Breakdown of the rho inner product triggers a single restart from the
     current iterate; a second breakdown raises KrylovBreakdown.  When the
     explicit residual refutes the recurrence's claim of convergence, CGS
     also restarts from the current iterate with that residual, since the
     old directions no longer describe it.  The divergence guard returns
-    converged=False once the residual has stayed above 1e4 * ||b|| for 20
-    consecutive iterations; a single crossing is tolerated because the
-    squared residual polynomial routinely spikes by about the square of the
-    largest preconditioned eigenvalue before settling, and such runs still
-    converge.
+    converged=False at the first non-finite residual, or once the residual
+    has stayed above 1e4 * ||b|| for 20 consecutive iterations; a single
+    crossing is tolerated because the squared residual polynomial routinely
+    spikes by about the square of the largest preconditioned eigenvalue
+    before settling, and such runs still converge.
 
     An unconverged run returns the iterate with the smallest residual seen
     (the zero start included), together with its explicitly computed
@@ -140,7 +133,7 @@ def cgs(op, precond, b, tol=1e-8, maxit=500):
                 raise KrylovBreakdown(
                     f"cgs: rho breakdown recurred at iteration {iterations}"
                 )
-            r = b - op.apply(x)
+            r = b - apply(x)
             matvecs += 1
             u = p = q = None
             restarted = True
@@ -157,7 +150,7 @@ def cgs(op, precond, b, tol=1e-8, maxit=500):
             p += q
             p *= beta
             p += u
-        vhat = op.apply(precond.apply(p))
+        vhat = apply(precond(p))
         matvecs += 1
         sigma = float(rtilde @ vhat)
         if sigma == 0.0:
@@ -165,7 +158,7 @@ def cgs(op, precond, b, tol=1e-8, maxit=500):
                 raise KrylovBreakdown(
                     f"cgs: sigma breakdown recurred at iteration {iterations}"
                 )
-            r = b - op.apply(x)
+            r = b - apply(x)
             matvecs += 1
             u = p = q = None
             restarted = True
@@ -174,9 +167,9 @@ def cgs(op, precond, b, tol=1e-8, maxit=500):
         # q's buffer is reused once allocated; x is rebound as x_best may share it
         q = np.subtract(u, alpha * vhat, out=q)
         del vhat
-        uhat = precond.apply(u + q)
+        uhat = precond(u + q)
         x = x + alpha * uhat
-        r -= alpha * op.apply(uhat)
+        r -= alpha * apply(uhat)
         del uhat
         matvecs += 1
         rho_prev = rho
@@ -184,7 +177,7 @@ def cgs(op, precond, b, tol=1e-8, maxit=500):
         rel = np.linalg.norm(r) / bnorm
         if rel <= tol:
             # recurrence says done; confirm on the explicitly computed residual
-            r_true = b - op.apply(x)
+            r_true = b - apply(x)
             matvecs += 1
             rel = np.linalg.norm(r_true) / bnorm
             if rel <= tol:
@@ -194,14 +187,16 @@ def cgs(op, precond, b, tol=1e-8, maxit=500):
             u = p = q = None
         if rel < rel_best:
             x_best, rel_best = x, rel
+        if not np.isfinite(rel):
+            break
         if rel > 1e4:
             above_guard += 1
-            if above_guard >= 20 or not np.isfinite(rel):
+            if above_guard >= 20:
                 break
         else:
             above_guard = 0
     if not converged:
         x = x_best
-        rel = np.linalg.norm(b - op.apply(x)) / bnorm
+        rel = np.linalg.norm(b - apply(x)) / bnorm
         matvecs += 1
     return x, KrylovReport(iterations, float(rel), converged, matvecs)

@@ -17,7 +17,7 @@ from math import ceil, isfinite
 
 import numpy as np
 
-from mgipm.grid import KIND_DIRICHLET, KIND_PERIODIC, NodalField, unwrap
+from mgipm.grid import KIND_DIRICHLET, KIND_PERIODIC
 
 __all__ = [
     "ForwardOperator",
@@ -30,7 +30,7 @@ __all__ = [
 
 
 class ForwardOperator:
-    """Base class: counts every apply, accepts fields or raw value arrays."""
+    """Base class: counts every apply, one per column of the input."""
 
     # an operator whose K^T K has exact low-rank structure overrides this
     # with an n_dof x r matrix F, K^T K = F F^T (see ParabolicOperator)
@@ -51,10 +51,9 @@ class ForwardOperator:
         return self._counted(self._apply_transpose, u)
 
     def _counted(self, fn, u):
-        vals, wrap = unwrap(u, self.level_index)
-        out = fn(vals)
-        self.matvec_counter += vals.shape[1] if vals.ndim == 2 else 1
-        return NodalField(self.level_index, out) if wrap else out
+        u = np.asarray(u, dtype=float)
+        self.matvec_counter += u.shape[1] if u.ndim == 2 else 1
+        return fn(u)
 
     @cached_property
     def normal_matrix(self):
@@ -98,7 +97,8 @@ class ParabolicConfig:
 
     The time step targets k = c1*h; the step count N_t = ceil(T/(c1*h)) is
     then used with k = T/N_t so the final time is hit exactly (the two agree
-    whenever T/(c1*h) is an integer).
+    whenever T/(c1*h) is an integer).  Out-of-range values raise
+    ValueError at construction.
     """
 
     a: float = 4e-3
@@ -107,7 +107,7 @@ class ParabolicConfig:
     T: float = 0.8
     c1: float = 1.0
 
-    def validate(self):
+    def __post_init__(self):
         if not all(map(isfinite, (self.a, self.b, self.c, self.T, self.c1))):
             raise ValueError("parabolic coefficients must be finite")
         if not self.a > 0:
@@ -187,11 +187,10 @@ class ParabolicOperator(ForwardOperator):
 def parabolic_build(level, config=None, level_index=0):
     """Build the time-reversal forward operator on a periodic level.
 
-    level_index records where the level sits in its hierarchy so that
-    wrapped fields can be checked; it defaults to 0 for standalone use.
+    level_index records where the level sits in its hierarchy; it
+    defaults to 0 for standalone use.
     """
     config = config or ParabolicConfig()
-    config.validate()
     if level.kind != KIND_PERIODIC:
         raise ValueError("parabolic operator requires a periodic-interval level")
     return ParabolicOperator(level_index, level, config)

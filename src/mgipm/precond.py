@@ -20,16 +20,8 @@ from functools import partial
 import numpy as np
 import scipy.linalg as sla
 
-from mgipm.grid import (
-    GridHierarchy,
-    GridLevel,
-    NodalField,
-    coarsen_lambda,
-    l2_project,
-    prolong,
-    unwrap,
-)
-from mgipm.krylov import LinearOperatorHandle, cg
+from mgipm.grid import GridHierarchy, NodalField, coarsen_lambda, l2_project, prolong
+from mgipm.krylov import cg
 
 __all__ = [
     "ScaledSystem",
@@ -47,32 +39,28 @@ COARSEST_SOLVERS = ("auto", "dense", "cg")
 class ScaledSystem:
     """One level's scaled inner system G = I + D_{1/p} K^T K D_{1/p}."""
 
-    level_index: int
-    level: GridLevel
     operator: object
-    lam: NodalField
     p: np.ndarray
 
 
-def make_scaled_system(level_index, level, operator, lam, beta):
-    vals = np.asarray(lam.values, dtype=float)
+def make_scaled_system(operator, lam_values, beta):
+    vals = np.asarray(lam_values, dtype=float)
     if np.any(vals < beta * (1.0 - 1e-12)) or np.any(vals <= 0.0):
         raise ValueError(
             f"lambda must stay >= beta={beta} (min found {vals.min():.3e})"
         )
-    return ScaledSystem(level_index, level, operator, lam, np.sqrt(vals))
+    return ScaledSystem(operator, np.sqrt(vals))
 
 
 def g_apply(sys, u):
     """Apply G to a vector or an n x k block; 2 operator applies per column."""
-    vals, wrap = unwrap(u, sys.level_index)
     op = sys.operator
-    p = sys.p if vals.ndim == 1 else sys.p[:, None]
-    # vals + K^T K (vals/p) / p, accumulated in the fresh K^T output
-    out = op.apply_transpose(op.apply(vals / p))
+    p = sys.p if u.ndim == 1 else sys.p[:, None]
+    # u + K^T K (u/p) / p, accumulated in the fresh K^T output
+    out = op.apply_transpose(op.apply(u / p))
     out /= p
-    out += vals
-    return NodalField(sys.level_index, out) if wrap else out
+    out += u
+    return out
 
 
 @dataclass
@@ -95,8 +83,8 @@ class MgPreconditioner:
             return self._coarse_inverse(r)
         sys0 = self.systems[0]
         # g_apply is looked up per call, so a wrapper installed on it is seen
-        handle = LinearOperatorHandle(sys0.level.n_dof, lambda v: g_apply(sys0, v))
-        z, report = cg(handle, r, tol=self.coarsest_tol, maxit=5000)
+        z, report = cg(lambda v: g_apply(sys0, v), r,
+                       tol=self.coarsest_tol, maxit=5000)
         if not report.converged:
             raise RuntimeError(
                 f"coarsest-level CG stalled at {report.final_relative_residual:.2e}"
@@ -144,14 +132,13 @@ def build_preconditioner(
         lams.append(coarsen_lambda(hierarchy, lams[-1]))
     lams.reverse()
     systems = [
-        make_scaled_system(i, hierarchy.levels[i], operators[i], lams[i], beta)
-        for i in range(hierarchy.n_levels)
+        make_scaled_system(op, lm.values, beta) for op, lm in zip(operators, lams)
     ]
 
     sys0 = systems[0]
     if coarsest_solver == "auto":
         exact = (sys0.operator.normal_factor is not None
-                 or sys0.level.n_dof <= DENSE_COARSE_LIMIT)
+                 or hierarchy.levels[0].n_dof <= DENSE_COARSE_LIMIT)
         coarsest_solver = "dense" if exact else "cg"
     if coarsest_solver not in COARSEST_SOLVERS:
         raise ValueError(f"unknown coarsest solver {coarsest_solver!r}")
@@ -168,7 +155,7 @@ def _exact_inverse(sys):
         core = sla.cho_factor(np.eye(b.shape[1]) + b.T @ b)
         return lambda r: r - b @ sla.cho_solve(core, b.T @ r)
     # one Fortran-ordered array, scaled and LU-factored in place
-    n = sys.level.n_dof
+    n = sys.p.size
     dinv = 1.0 / sys.p
     G = np.multiply(sys.operator.normal_matrix, dinv[:, None], order="F")
     G *= dinv[None, :]
@@ -187,10 +174,7 @@ def mg_apply(mg, r):
     r1 = r - G u; the finest level applies the map once and never
     evaluates its own G (no finest-level operator applications).
     """
-    finest = mg.n_levels - 1
-    vals, wrap = unwrap(r, finest)
-    out = _cycle(mg, vals, finest)
-    return NodalField(finest, out) if wrap else out
+    return _cycle(mg, r, mg.n_levels - 1)
 
 
 def _cycle(mg, r_vals, i):

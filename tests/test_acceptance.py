@@ -215,8 +215,7 @@ def test_algebraic_identities_hold_to_tight_tolerances():
     level = build_hierarchy("periodic-interval", 160, 1).finest
     x = node_coordinates(level)
     sys = make_scaled_system(
-        0, level, parabolic_build(level, ParabolicConfig()),
-        NodalField(0, np.sin(x) + 1.0), 1.0,
+        parabolic_build(level, ParabolicConfig()), np.sin(x) + 1.0, 1.0
     )
     adj_ok = True
     for _ in range(5):

@@ -365,6 +365,9 @@ class TestMain:
                      id="bounds-one-ulp-apart"),
         pytest.param("experiment = parabolic-1d\nlo = -1e308\nhi = 1e308\n",
                      id="bounds-gap-overflows"),
+        pytest.param("experiment = parabolic-1d\nlo = 1\nhi = 0\n", id="bounds-reversed"),
+        pytest.param("experiment = parabolic-1d\nlo = 0.5\nhi = 0.5\n", id="bounds-equal"),
+        pytest.param("experiment = parabolic-1d\nlevels = 0\n", id="levels=0"),
     ])
     def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, body):
         path = write_config(tmp_path, body + f"finest_n = 16\noutput_dir = {tmp_path}\n")
@@ -456,3 +459,11 @@ class TestBoundsFile:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {bounds}: ")
         assert "finite" in err
+
+    def test_reversed_row_is_a_config_error(self, tmp_path, capsys):
+        code, _ = self.run(tmp_path, ["0,1"] * 5 + ["1,0"] + ["0,1"] * 10)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "lo < hi" in err
+        assert len(err.strip().splitlines()) == 1

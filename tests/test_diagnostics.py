@@ -43,9 +43,8 @@ def assembled_two_grid(builder, rule, n, beta):
     hier = build_hierarchy("periodic-interval", n // 2, 2)
     coarse, fine = hier.levels
     g0, g = (
-        g_apply(make_scaled_system(
-            i, lv, builder(lv, i), NodalField(i, rule(node_coordinates(lv)) + beta), beta),
-            np.eye(lv.n_dof))
+        g_apply(make_scaled_system(builder(lv, i), rule(node_coordinates(lv)) + beta, beta),
+                np.eye(lv.n_dof))
         for i, lv in enumerate(hier.levels)
     )
     J = np.column_stack(
@@ -60,9 +59,7 @@ def assembled_two_grid(builder, rule, n, beta):
 class TestMaterialize:
     def test_scaled_system_of_zero_operator_is_identity(self):
         level = build_hierarchy("periodic-interval", 16, 1).finest
-        sys = make_scaled_system(
-            0, level, ZeroOperator(0, level), NodalField(0, np.ones(16)), 1.0
-        )
+        sys = make_scaled_system(ZeroOperator(0, level), np.ones(16), 1.0)
         assert_allclose(g_apply(sys, np.eye(16)), np.eye(16), rtol=0, atol=0)
 
     def test_weighted_symmetry_of_g(self):

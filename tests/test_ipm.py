@@ -28,7 +28,7 @@ from mgipm.ipm import (
     solve,
     step_lengths,
 )
-from mgipm.krylov import LinearOperatorHandle, cg, cgs
+from mgipm.krylov import cg, cgs
 from mgipm.operators import ParabolicConfig, ZeroOperator, parabolic_build
 from mgipm.precond import g_apply, make_scaled_system
 
@@ -221,8 +221,7 @@ class TestReduceToScaled:
         state = make_state(u, rng.uniform(0.1, 2.0, 64), rng.uniform(0.1, 2.0, 64))
         r_u, r_v1, r_v2, _ = kkt_residuals(prob, state)
         red = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
-        sys = make_scaled_system(0, prob.hierarchy.finest, prob.operators[0],
-                                 red.lam, prob.beta)
+        sys = make_scaled_system(prob.operators[0], red.lam.values, prob.beta)
         G = g_apply(sys, np.eye(64))
         du = np.linalg.solve(G, red.rhs) / red.p
         op = prob.operators[0]
@@ -260,8 +259,7 @@ class TestRecoverFullStep:
         state = make_state(u, rng.uniform(0.1, 2.0, 64), rng.uniform(0.1, 2.0, 64))
         r_u, r_v1, r_v2, _ = kkt_residuals(prob, state)
         red = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
-        sys = make_scaled_system(0, prob.hierarchy.finest, prob.operators[0],
-                                 red.lam, prob.beta)
+        sys = make_scaled_system(prob.operators[0], red.lam.values, prob.beta)
         du_scaled = np.linalg.solve(g_apply(sys, np.eye(64)), red.rhs)
         du, dv1, dv2 = recover_full_step(state, du_scaled / red.p, r_v1, r_v2,
                                          prob.lo, prob.hi)
@@ -320,30 +318,27 @@ class TestStepLengths:
 
 
 class TestSymmetrizedHandle:
-    """G is symmetric on uniform grids: CG runs on the plain g_apply handle."""
+    """G is symmetric on uniform grids: CG runs on plain g_apply calls."""
 
     def test_euclidean_symmetry(self, rng):
         level = build_hierarchy("periodic-interval", 48, 1).finest
         op = parabolic_build(level, ParabolicConfig())
-        sys = make_scaled_system(0, level, op, NodalField(0, np.full(48, 1.5)), 1.0)
-        handle = LinearOperatorHandle(48, lambda v: g_apply(sys, v))
+        sys = make_scaled_system(op, np.full(48, 1.5), 1.0)
         u = rng.standard_normal(48)
         v = rng.standard_normal(48)
-        lhs = float(handle.apply(u) @ v)
-        rhs = float(u @ handle.apply(v))
+        lhs = float(g_apply(sys, u) @ v)
+        rhs = float(u @ g_apply(sys, v))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_cg_and_cgs_reach_the_same_solution(self, rng):
         level = build_hierarchy("periodic-interval", 64, 1).finest
         op = parabolic_build(level, ParabolicConfig())
         x = node_coordinates(level)
-        sys = make_scaled_system(0, level, op, NodalField(0, np.sin(x) + 1.0), 1.0)
+        sys = make_scaled_system(op, np.sin(x) + 1.0, 1.0)
         rhs = rng.standard_normal(64)
-        gh = LinearOperatorHandle(64, lambda v: g_apply(sys, v))
-        via_cg, rep = cg(gh, rhs, tol=1e-12)
+        via_cg, rep = cg(lambda v: g_apply(sys, v), rhs, tol=1e-12)
         assert rep.converged
-        ident = LinearOperatorHandle(64, lambda r: r)
-        via_cgs, rep2 = cgs(gh, ident, rhs, tol=1e-12)
+        via_cgs, rep2 = cgs(lambda v: g_apply(sys, v), lambda r: r, rhs, tol=1e-12)
         assert rep2.converged
         assert np.linalg.norm(via_cg - via_cgs) <= 1e-7 * np.linalg.norm(via_cg)
 

@@ -4,18 +4,33 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mgipm.krylov import KrylovBreakdown, KrylovReport, LinearOperatorHandle, cg, cgs
+from mgipm.krylov import KrylovBreakdown, KrylovReport, cg, cgs
 
 
-def counted_handle(matrix):
-    """Handle over a dense matrix that tallies its own applications."""
+def counted_apply(matrix):
+    """Apply callable of a dense matrix that tallies its own applications."""
     counter = {"n": 0}
 
     def apply(v):
         counter["n"] += 1
         return matrix @ v
 
-    return LinearOperatorHandle(matrix.shape[0], apply), counter
+    return apply, counter
+
+
+def turns_nan(matrix, good_applies):
+    """Like counted_apply, but every apply after the first good_applies
+    returns NaN, as an operator that broke down numerically would."""
+    counter = {"n": 0}
+
+    def apply(v):
+        counter["n"] += 1
+        out = matrix @ v
+        if counter["n"] > good_applies:
+            out[...] = np.nan
+        return out
+
+    return apply, counter
 
 
 def textbook_cgs(A, b, steps):
@@ -135,7 +150,7 @@ def spd_matrix(n, rng):
 class TestCg:
     def test_diagonal_system_finishes_in_rank_iterations(self):
         A = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
-        op, counter = counted_handle(A)
+        op, counter = counted_apply(A)
         b = np.ones(5)
         x, report = cg(op, b, tol=1e-12)
         assert report.converged
@@ -144,7 +159,7 @@ class TestCg:
         assert report.matvecs == counter["n"]
 
     def test_zero_rhs_short_circuits(self):
-        op, counter = counted_handle(np.eye(3))
+        op, counter = counted_apply(np.eye(3))
         x, report = cg(op, np.zeros(3))
         assert not x.any()
         assert report.iterations == 0
@@ -154,7 +169,7 @@ class TestCg:
     def test_random_spd_matches_dense_solve(self, rng):
         A = spd_matrix(20, rng)
         b = rng.standard_normal(20)
-        op, _ = counted_handle(A)
+        op, _ = counted_apply(A)
         x, report = cg(op, b, tol=1e-10)
         assert report.converged
         expected = np.linalg.solve(A, b)
@@ -162,14 +177,14 @@ class TestCg:
 
     def test_one_matvec_per_iteration(self, rng):
         A = spd_matrix(30, rng)
-        op, counter = counted_handle(A)
+        op, counter = counted_apply(A)
         _, report = cg(op, rng.standard_normal(30), tol=1e-10)
         assert report.matvecs == report.iterations
         assert counter["n"] == report.matvecs
 
     def test_indefinite_operator_raises(self):
         A = np.diag([1.0, -1.0])
-        op, _ = counted_handle(A)
+        op, _ = counted_apply(A)
         with pytest.raises(KrylovBreakdown):
             cg(op, np.array([0.0, 1.0]))
 
@@ -181,22 +196,31 @@ class TestCg:
         exact = np.linalg.solve(A, b)
         energies = []
         for k in range(1, 26):
-            op, _ = counted_handle(A)
+            op, _ = counted_apply(A)
             x, _ = cg(op, b, tol=0.0, maxit=k)
             e = exact - x
             energies.append(float(e @ (A @ e)))
         for prev, nxt in zip(energies, energies[1:]):
             assert nxt <= prev * (1 + 1e-12)
 
+    def test_nan_residual_stops_at_once(self, rng):
+        # a NaN p^T A p is not <= 0, so only the residual check can stop it
+        A = spd_matrix(30, rng)
+        op, counter = turns_nan(A, 2)
+        _, report = cg(op, rng.standard_normal(30), tol=1e-14, maxit=500)
+        assert not report.converged
+        assert report.iterations == 3
+        assert not np.isfinite(report.final_relative_residual)
+        assert report.matvecs == counter["n"] == 3
+
 
 class TestCgs:
     def test_exact_inverse_preconditioner_converges_immediately(self, rng):
         A = spd_matrix(12, rng)
         inv = np.linalg.inv(A)
-        op, _ = counted_handle(A)
-        precond = LinearOperatorHandle(12, lambda r: inv @ r)
+        op, _ = counted_apply(A)
         b = rng.standard_normal(12)
-        x, report = cgs(op, precond, b, tol=1e-10)
+        x, report = cgs(op, lambda r: inv @ r, b, tol=1e-10)
         assert report.converged
         assert report.iterations == 1
         assert np.linalg.norm(A @ x - b) <= 1e-9 * np.linalg.norm(b)
@@ -204,18 +228,16 @@ class TestCgs:
     def test_identity_preconditioner_on_spd(self, rng):
         A = spd_matrix(20, rng)
         b = rng.standard_normal(20)
-        op, counter = counted_handle(A)
-        precond = LinearOperatorHandle(20, lambda r: r)
-        x, report = cgs(op, precond, b, tol=1e-10)
+        op, counter = counted_apply(A)
+        x, report = cgs(op, lambda r: r, b, tol=1e-10)
         assert report.converged
         expected = np.linalg.solve(A, b)
         assert np.linalg.norm(x - expected) <= 1e-6 * np.linalg.norm(expected)
         assert counter["n"] == report.matvecs
 
     def test_zero_rhs_short_circuits(self):
-        op, counter = counted_handle(np.eye(4))
-        precond = LinearOperatorHandle(4, lambda r: r)
-        x, report = cgs(op, precond, np.zeros(4))
+        op, counter = counted_apply(np.eye(4))
+        x, report = cgs(op, lambda r: r, np.zeros(4))
         assert not x.any()
         assert report.iterations == 0
         assert report.converged
@@ -223,9 +245,8 @@ class TestCgs:
 
     def test_two_matvecs_per_iteration_plus_confirmation(self, rng):
         A = spd_matrix(20, rng)
-        op, counter = counted_handle(A)
-        precond = LinearOperatorHandle(20, lambda r: r)
-        _, report = cgs(op, precond, rng.standard_normal(20), tol=1e-10)
+        op, counter = counted_apply(A)
+        _, report = cgs(op, lambda r: r, rng.standard_normal(20), tol=1e-10)
         assert report.converged
         assert report.matvecs == 2 * report.iterations + 1
         assert counter["n"] == report.matvecs
@@ -236,9 +257,8 @@ class TestCgs:
         n, steps = 12, 10
         A = np.diag(np.linspace(-1.0, 1.0, n) + 0.05) + np.triu(np.ones((n, n)), 1)
         b = np.ones(n)
-        op, counter = counted_handle(A)
-        precond = LinearOperatorHandle(n, lambda r: r)
-        x, report = cgs(op, precond, b, tol=1e-14, maxit=steps)
+        op, counter = counted_apply(A)
+        x, report = cgs(op, lambda r: r, b, tol=1e-14, maxit=steps)
         assert not report.converged
         assert report.iterations == steps
         true = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
@@ -248,16 +268,27 @@ class TestCgs:
         # the best iterate's residual costs one apply on top of two per step
         assert report.matvecs == 2 * steps + 1 == counter["n"]
 
+    def test_nan_residual_stops_with_the_best_iterate(self, rng):
+        # the third apply (second iteration) turns the residual into NaN,
+        # which the 1e4 divergence guard never sees
+        A = spd_matrix(30, rng)
+        op, counter = turns_nan(A, 2)
+        x, report = cgs(op, lambda r: r, rng.standard_normal(30), tol=1e-14, maxit=500)
+        assert not report.converged
+        assert report.iterations == 2
+        assert np.all(np.isfinite(x))
+        # two applies per step plus the best iterate's residual
+        assert report.matvecs == counter["n"] == 5
+
     def test_costs_double_cg_per_iteration(self, rng):
         # same system, same tolerance: CGS burns two applies where CG burns
         # one, which the reports must reflect
         A = spd_matrix(25, rng)
         b = rng.standard_normal(25)
-        op_cg, _ = counted_handle(A)
+        op_cg, _ = counted_apply(A)
         _, rep_cg = cg(op_cg, b, tol=1e-10)
-        op_cgs, _ = counted_handle(A)
-        precond = LinearOperatorHandle(25, lambda r: r)
-        _, rep_cgs = cgs(op_cgs, precond, b, tol=1e-10)
+        op_cgs, _ = counted_apply(A)
+        _, rep_cgs = cgs(op_cgs, lambda r: r, b, tol=1e-10)
         assert rep_cg.matvecs == rep_cg.iterations
         assert rep_cgs.matvecs == 2 * rep_cgs.iterations + 1
 
@@ -270,7 +301,7 @@ class TestInPlaceUpdatesMatchReference:
     def test_cg(self, tol, maxit, rng):
         A = spd_matrix(40, rng)
         b = rng.standard_normal(40)
-        op, _ = counted_handle(A)
+        op, _ = counted_apply(A)
         x, report = cg(op, b, tol=tol, maxit=maxit)
         x_ref, report_ref = reference_cg(A, b, tol, maxit)
         assert_array_equal(x, x_ref)
@@ -286,9 +317,8 @@ class TestInPlaceUpdatesMatchReference:
         # that the explicit residual refutes, and cgs restarts
         A, M = nonsymmetric_system(40, 1e2, np.random.default_rng(20260822))
         b = np.random.default_rng(7).standard_normal(40)
-        op, _ = counted_handle(A)
-        precond = LinearOperatorHandle(40, lambda r: M @ r)
-        x, report = cgs(op, precond, b, tol=tol, maxit=300)
+        op, _ = counted_apply(A)
+        x, report = cgs(op, lambda r: M @ r, b, tol=tol, maxit=300)
         x_ref, report_ref = reference_cgs(A, M, b, tol, 300)
         assert_array_equal(x, x_ref)
         assert report == report_ref

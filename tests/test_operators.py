@@ -16,7 +16,7 @@ from conftest import (
     peak_vectors,
     stiffness_matrix_dirichlet,
 )
-from mgipm.grid import NodalField, build_hierarchy, node_coordinates
+from mgipm.grid import build_hierarchy, node_coordinates
 from mgipm.operators import (
     EllipticConfig,
     ParabolicConfig,
@@ -91,19 +91,19 @@ class TestParabolicBuild:
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
-            ParabolicConfig(a=-1.0).validate()
+            ParabolicConfig(a=-1.0)
         with pytest.raises(ValueError):
-            ParabolicConfig(T=0.0).validate()
+            ParabolicConfig(T=0.0)
         with pytest.raises(ValueError):
-            ParabolicConfig(b=-0.1).validate()
+            ParabolicConfig(b=-0.1)
         with pytest.raises(ValueError):
-            ParabolicConfig(c=-0.1).validate()
+            ParabolicConfig(c=-0.1)
         with pytest.raises(ValueError):
-            ParabolicConfig(c1=0.0).validate()
+            ParabolicConfig(c1=0.0)
         with pytest.raises(ValueError):
-            ParabolicConfig(b=float("nan")).validate()
+            ParabolicConfig(b=float("nan"))
         with pytest.raises(ValueError):
-            ParabolicConfig(T=float("inf")).validate()
+            ParabolicConfig(T=float("inf"))
 
 
 @pytest.fixture(scope="module")
@@ -250,9 +250,6 @@ class TestMatvecCounter:
             out = f(block)
             assert op.matvec_counter == before + k
             assert_array_equal(out, loop)
-            field = f(NodalField(0, block))
-            assert field.level_index == 0
-            assert_array_equal(field.values, loop)
 
     @pytest.mark.parametrize("n, k", [(8, 1), (8, 2), (16, 5)])
     def test_elliptic_block_apply_matches_a_column_loop(self, n, k, rng):

@@ -17,6 +17,7 @@ REMOVED = (
     "materialize_g",
     "DenseOperator",
     "convergence_probe",
+    "LinearOperatorHandle",
 )
 
 

@@ -27,8 +27,7 @@ def sine_lambda(hierarchy, beta):
 def single_system(n, lam_values, beta=1.0):
     level = build_hierarchy("periodic-interval", n, 1).finest
     op = parabolic_build(level, ParabolicConfig())
-    lam = NodalField(0, np.asarray(lam_values, dtype=float))
-    return make_scaled_system(0, level, op, lam, beta)
+    return make_scaled_system(op, lam_values, beta)
 
 
 def assembled_two_grid(mg):
@@ -48,7 +47,7 @@ def assembled_two_grid(mg):
 class TestGApply:
     def test_vanishing_operator_gives_identity(self, rng):
         level = build_hierarchy("periodic-interval", 32, 1).finest
-        sys = make_scaled_system(0, level, ZeroOperator(0, level), NodalField(0, np.ones(32)), 1.0)
+        sys = make_scaled_system(ZeroOperator(0, level), np.ones(32), 1.0)
         u = rng.standard_normal(32)
         assert_allclose(g_apply(sys, u), u, rtol=0, atol=0)
 
@@ -62,7 +61,7 @@ class TestGApply:
         level = build_hierarchy("periodic-interval", 16, 1).finest
         op = parabolic_build(level, ParabolicConfig())
         lam_vals = 1.0 + rng.random(16)
-        sys = make_scaled_system(0, level, op, NodalField(0, lam_vals), 1.0)
+        sys = make_scaled_system(op, lam_vals, 1.0)
         K = np.column_stack([op.apply(col) for col in np.eye(16)])
         W = np.diag(level.weights)
         D = np.diag(1.0 / np.sqrt(lam_vals))
@@ -89,13 +88,13 @@ class TestGApply:
 
     def test_rejects_lambda_below_beta(self):
         level = build_hierarchy("periodic-interval", 8, 1).finest
-        lam = NodalField(0, np.array([1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0]))
+        lam = np.array([1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
-            make_scaled_system(0, level, ZeroOperator(0, level), lam, 1.0)
+            make_scaled_system(ZeroOperator(0, level), lam, 1.0)
 
     def test_self_adjoint_in_weighted_pairing(self, rng):
         sys = single_system(80, np.sin(np.arange(80) / 80.0) + 1.0)
-        w = sys.level.weights
+        w = sys.operator.level.weights
         for _ in range(5):
             u = rng.standard_normal(80)
             v = rng.standard_normal(80)
@@ -105,7 +104,7 @@ class TestGApply:
 
     def test_bounded_below_by_identity(self, rng):
         sys = single_system(80, np.sin(np.arange(80) / 80.0) + 1.0)
-        w = sys.level.weights
+        w = sys.operator.level.weights
         for _ in range(10):
             u = rng.standard_normal(80)
             quad = float(np.sum(w * g_apply(sys, u) * u))
@@ -113,7 +112,7 @@ class TestGApply:
 
     def test_symmetrized_handle_is_euclidean_symmetric(self, rng):
         # uniform weights make the weighted adjoint the transpose, so G is
-        # symmetric in the plain product and the handle CG is given is
+        # symmetric in the plain product and the callable CG is given is
         # g_apply itself, with no conjugation by sqrt(W)
         sys = single_system(48, 2.0 + np.sin(np.arange(48) / 7.0))
         for _ in range(5):
@@ -131,15 +130,15 @@ class TestBuildPreconditioner:
         lam = NodalField(2, np.full(160, 0.5))
         mg = build_preconditioner(hier, ops, lam, beta=0.5)
         for sys in mg.systems:
-            assert_allclose(sys.lam.values, 0.5, rtol=0)
+            assert_allclose(sys.p, np.sqrt(0.5), rtol=0)
 
     def test_lambda_chain_discards_fine_nodes(self):
         hier = build_hierarchy("periodic-interval", 40, 3)
         ops = parabolic_chain(hier)
         lam = sine_lambda(hier, 1.0)
         mg = build_preconditioner(hier, ops, lam, beta=1.0)
-        assert_allclose(mg.systems[1].lam.values, lam.values[0::2], rtol=0)
-        assert_allclose(mg.systems[0].lam.values, lam.values[0::4], rtol=0)
+        assert_allclose(mg.systems[1].p, np.sqrt(lam.values[0::2]), rtol=0)
+        assert_allclose(mg.systems[0].p, np.sqrt(lam.values[0::4]), rtol=0)
 
     def test_dense_and_cg_coarse_solves_agree(self, rng):
         hier = build_hierarchy("periodic-interval", 40, 2)
@@ -300,8 +299,8 @@ class TestSpectralRadiusEstimate:
 
     @staticmethod
     def rho(mg):
-        fine = mg.systems[1]
-        return lemma_a2_check(mg_apply(mg, g_apply(fine, np.eye(fine.level.n_dof))))[0]
+        g = g_apply(mg.systems[1], np.eye(mg.hierarchy.finest.n_dof))
+        return lemma_a2_check(mg_apply(mg, g))[0]
 
     def test_perfect_preconditioner_leaves_nothing(self):
         hier = build_hierarchy("periodic-interval", 16, 2)
