@@ -152,11 +152,14 @@ class IpmResult:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Inputs of the scaled inner solve for one outer iteration."""
+    """Inputs of the scaled inner solve for one outer iteration.
+
+    The scaling p = sqrt(lambda) is not kept here: the inner solve's
+    finest ScaledSystem holds it, once.
+    """
 
     m: np.ndarray
     lam: NodalField
-    p: np.ndarray
     rhs: np.ndarray
 
 
@@ -222,9 +225,8 @@ def reduce_to_scaled(prob, state, r_u, r_v1, r_v2):
     w = prob.hierarchy.finest.weights
     m = v1 / g1 + v2 / g2
     lam_vals = m / w + prob.beta
-    p = np.sqrt(lam_vals)
-    rhs = _scaled_rhs(r_u, r_v1, r_v2, g1, g2, w, p)
-    return ReducedSystem(m, NodalField(prob.hierarchy.n_levels - 1, lam_vals), p, rhs)
+    rhs = _scaled_rhs(r_u, r_v1, r_v2, g1, g2, w, np.sqrt(lam_vals))
+    return ReducedSystem(m, NodalField(prob.hierarchy.n_levels - 1, lam_vals), rhs)
 
 
 def _scaled_rhs(r_u, r_v1, r_v2, g1, g2, w, p):
@@ -285,13 +287,13 @@ def _max_dual_step(v1, v2, dv1, dv2):
 
 
 def _inner_solver(prob, red, opts):
-    """rhs -> (du, report): the scaled inner solve for red's lambda, unscaled.
+    """(inner, p): rhs -> (du, report), the scaled inner solve for red's
+    lambda, unscaled; and p = sqrt(lambda) of its finest system.
 
     One level runs CG on the symmetric G; more levels run CGS with the
     multigrid cycle, whose preconditioner is built here once per call.
     """
     hier = prob.hierarchy
-    p = red.p
     # the lambdas look g_apply and mg_apply up per call, so a wrapper
     # installed on them is seen
     if hier.n_levels == 1:
@@ -300,9 +302,9 @@ def _inner_solver(prob, red, opts):
         def inner(rhs):
             y, rep = cg(lambda v: g_apply(sys, v), rhs,
                         tol=opts.krylov_tol, maxit=opts.krylov_maxit)
-            return y / p, rep
+            return y / sys.p, rep
 
-        return inner
+        return inner, sys.p
     mg = build_preconditioner(
         hier, prob.operators, red.lam, prob.beta,
         coarsest_solver=opts.coarsest_solver,
@@ -313,9 +315,9 @@ def _inner_solver(prob, red, opts):
     def inner(rhs):
         y, rep = cgs(lambda v: g_apply(sys, v), lambda v: mg_apply(mg, v), rhs,
                      tol=opts.krylov_tol, maxit=opts.krylov_maxit)
-        return y / p, rep
+        return y / sys.p, rep
 
-    return inner
+    return inner, sys.p
 
 
 def solve(prob, opts=None):
@@ -351,10 +353,10 @@ def solve(prob, opts=None):
     # every n-vector is dropped after its last use, not at its next binding
     for it in range(1, opts.max_outer + 1):
         red = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
-        p, rhs = red.p, red.rhs
-        lam_w2 = discrete_w2inf(level, 1.0 / p)
-        inner = _inner_solver(prob, red, opts)
+        rhs = red.rhs
+        inner, p = _inner_solver(prob, red, opts)
         del red
+        lam_w2 = discrete_w2inf(level, 1.0 / p)
 
         # predictor: pure Newton step toward mu = 0
         du_a, rep_pred = _checked(inner, rhs, it, "predictor")

@@ -7,6 +7,16 @@ the elliptic operator applies the discrete solution map u -> y of the
 Dirichlet Poisson problem on the unit square.  Both expose a transpose in
 the plain nodal pairing; the lumped weight is one number per level, so that
 transpose is also the adjoint in the weighted pairing.
+
+The parabolic symbol decays like exp(-a (2 pi k)^2 T), so only the modes
+|k| <= kmax with |symbol| > eps max|symbol| are kept (kmax = 16 at the
+default coefficients on every grid from n = 80 up).  Dropping the rest
+moves K u by at most eps max|symbol| |u|.  The apply transforms only that
+band: with n = B L and B >= 2 kmax + 1, B-point transforms of the L
+stride-L subsequences and one twiddle sum per kept mode give its Fourier
+coefficients (a four-step FFT pruned to the band), and the way back is the
+mirror image.  Where n has no such divisor, B = n and the apply is the
+plain length-n transform.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ from functools import cached_property
 from math import ceil, isfinite
 
 import numpy as np
+import scipy.fft
 
 from mgipm.grid import KIND_DIRICHLET, KIND_PERIODIC
 
@@ -27,6 +38,8 @@ __all__ = [
     "parabolic_build",
     "elliptic_build",
 ]
+
+_EPS = np.finfo(float).eps
 
 
 class ForwardOperator:
@@ -131,26 +144,23 @@ class ParabolicOperator(ForwardOperator):
         self.dt = config.T / self.n_steps
         a, b, c = config.a, config.b, config.c
         # circulant first rows of the consistent mass and transport matrices
-        m_row = np.zeros(n)
-        m_row[0] = 2.0 * h / 3.0
-        m_row[1] = h / 6.0
-        m_row[-1] = h / 6.0
-        s_row = np.zeros(n)
-        s_row[0] = 2.0 * a / h + 2.0 * c * h / 3.0
-        s_row[1] = -a / h - b / 2.0 + c * h / 6.0
-        s_row[-1] = -a / h + b / 2.0 + c * h / 6.0
-        self._m_row = m_row
-        self._s_row = s_row
+        first_rows = np.zeros((2, n))
+        first_rows[0, 0] = 2.0 * h / 3.0
+        first_rows[0, 1] = h / 6.0
+        first_rows[0, -1] = h / 6.0
+        first_rows[1, 0] = 2.0 * a / h + 2.0 * c * h / 3.0
+        first_rows[1, 1] = -a / h - b / 2.0 + c * h / 6.0
+        first_rows[1, -1] = -a / h + b / 2.0 + c * h / 6.0
+        self._first_rows = first_rows
 
     @cached_property
     def _symbol(self):
         # eigenvalues of a circulant with first row r are sum_m r[m] w^{mk},
         # i.e. the conjugate FFT of the row; K is real, so this holds only
         # the modes k = 0..n//2 (mode n-k is the conjugate of mode k)
-        m_hat = np.conj(np.fft.rfft(self._m_row))
-        s_hat = np.conj(np.fft.rfft(self._s_row))
-        step = (m_hat - 0.5 * self.dt * s_hat) / (m_hat + 0.5 * self.dt * s_hat)
-        return step**self.n_steps
+        m_hat, s_hat = np.conj(scipy.fft.rfft(self._first_rows, axis=1))
+        half = 0.5 * self.dt * s_hat
+        return ((m_hat - half) / (m_hat + half)) ** self.n_steps
 
     @cached_property
     def normal_factor(self):
@@ -164,7 +174,7 @@ class ParabolicOperator(ForwardOperator):
         """
         n = self.level.n_dof
         lam = np.abs(self._symbol) ** 2
-        keep = np.flatnonzero(lam > np.finfo(float).eps * lam.max())
+        keep = np.flatnonzero(lam > _EPS * lam.max())
         paired = (keep > 0) & (2 * keep < n)
         scale = np.sqrt(np.where(paired, 2.0, 1.0) * lam[keep] / n)
         # integer phases keep the angles exact before the one rounding
@@ -173,15 +183,67 @@ class ParabolicOperator(ForwardOperator):
         f.flags.writeable = False
         return f
 
+    @cached_property
+    def _band(self):
+        """Band plan (B, twiddle, back for K, back for K^T) of the apply.
+
+        kmax is the last mode with |symbol| > eps max|symbol|, and B the
+        smallest divisor of n with B >= 2 kmax + 1 (n if there is none), so
+        the B-point transforms hold every kept mode once.  With L = n/B,
+        twiddle[k, l] = exp(-2 pi i k l / n) for k <= kmax, and back is
+        symbol[k] conj(twiddle[k, l]) / L.  With L = 1 the twiddles are all
+        1: none are stored, and back is the symbol itself.
+        """
+        n = self.level.n_dof
+        symbol = self._symbol
+        mag = np.abs(symbol)
+        keep = mag > _EPS * mag.max()
+        # a band that keeps the last mode needs no search (c1 = 2 keeps all)
+        kmax = keep.size - 1 if keep[-1] else int(keep.nonzero()[0][-1])
+        points = next((b for b in range(2 * kmax + 1, n) if n % b == 0), n)
+        stride = n // points
+        head = symbol[: kmax + 1, None]
+        if stride == 1:
+            return points, None, head, np.conj(head)
+        # integer phases keep the angles exact before the one rounding
+        phase = np.outer(np.arange(kmax + 1), np.arange(stride)) % n
+        angle = (2.0 * np.pi / n) * phase
+        twiddle = np.cos(angle) - 1j * np.sin(angle)
+        back = np.conj(twiddle) / stride
+        return points, twiddle, head * back, np.conj(head) * back
+
     def _apply(self, u):
-        return self._filter(self._symbol, u)
+        return self._filter(self._band[2], u)
 
     def _apply_transpose(self, u):
-        return self._filter(np.conj(self._symbol), u)
+        return self._filter(self._band[3], u)
 
-    def _filter(self, symbol, u):
-        symbol = symbol if u.ndim == 1 else symbol[:, None]
-        return np.fft.irfft(symbol * np.fft.rfft(u, axis=0), self.level.n_dof, axis=0)
+    def _filter(self, back, u):
+        points, twiddle = self._band[:2]
+        n = u.shape[0]
+        stride = n // points
+        if u.ndim == 1:
+            x = u.reshape(points, stride)
+        else:
+            # the block's columns go in the middle, so every twiddle sum runs
+            # over one contiguous row and a block gives the bits of its columns
+            x = u.reshape(points, stride, u.shape[1]).transpose(0, 2, 1)
+            back = back[:, None, :]
+            if stride > 1:
+                twiddle = twiddle[:, None, :]
+        # entry (b, l) of x is u[b L + l]: column l is the stride-L subsequence
+        # from l, and sum_l twiddle[k, l] (its B-point transform)[k] is mode k of u
+        v = scipy.fft.rfft(x, axis=0)
+        head = v[: back.shape[0]]
+        coef = head if stride == 1 else (twiddle * head).sum(axis=-1, keepdims=True)
+        # the way back: mode k of K u, times back-twiddles, is entry k of the
+        # B-point transform of each output column; the modes past kmax are 0.
+        # back goes first: numpy rounds a complex product by operand order,
+        # and this order gives a full band the bits of irfft(s * rfft(u))
+        np.multiply(back, coef, out=head)
+        v[head.shape[0]:] = 0.0
+        y = scipy.fft.irfft(v, points, axis=0, overwrite_x=True)
+        return y.reshape(n) if u.ndim == 1 else y.transpose(0, 2, 1).reshape(u.shape)
 
 
 def parabolic_build(level, config=None, level_index=0):

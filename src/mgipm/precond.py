@@ -151,9 +151,16 @@ def _exact_inverse(sys):
     """r -> G^{-1} r for one level, exact to roundoff (see build_preconditioner)."""
     factor = sys.operator.normal_factor
     if factor is not None:
-        b = factor / sys.p[:, None]
+        p = sys.p
+        b = factor / p[:, None]
         core = sla.cho_factor(np.eye(b.shape[1]) + b.T @ b)
-        return lambda r: r - b @ sla.cho_solve(core, b.T @ r)
+
+        # scales by 1/p on the fly, so no n0 x r copy of the factor is kept
+        def solve(r):
+            q = p if r.ndim == 1 else p[:, None]
+            return r - (factor @ sla.cho_solve(core, factor.T @ (r / q))) / q
+
+        return solve
     # one Fortran-ordered array, scaled and LU-factored in place
     n = sys.p.size
     dinv = 1.0 / sys.p

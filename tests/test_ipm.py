@@ -204,7 +204,7 @@ class TestReduceToScaled:
         r_u, r_v1, r_v2, _ = kkt_residuals(prob, state)
         red = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
         # G is the identity here, so the scaled solve is a division
-        du = red.rhs / red.p
+        du = red.rhs / np.sqrt(red.lam.values)
         w = prob.hierarchy.finest.weights
         r = r_u + r_v1 / (u - 0.0) - r_v2 / (1.0 - u)
         assert_allclose(du, r / (red.m + 0.7 * w), rtol=1e-13)
@@ -223,7 +223,7 @@ class TestReduceToScaled:
         red = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
         sys = make_scaled_system(prob.operators[0], red.lam.values, prob.beta)
         G = g_apply(sys, np.eye(64))
-        du = np.linalg.solve(G, red.rhs) / red.p
+        du = np.linalg.solve(G, red.rhs) / sys.p
         op = prob.operators[0]
         K = np.column_stack([op.apply(col) for col in np.eye(64)])
         w = prob.hierarchy.finest.weights
@@ -261,7 +261,7 @@ class TestRecoverFullStep:
         red = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
         sys = make_scaled_system(prob.operators[0], red.lam.values, prob.beta)
         du_scaled = np.linalg.solve(g_apply(sys, np.eye(64)), red.rhs)
-        du, dv1, dv2 = recover_full_step(state, du_scaled / red.p, r_v1, r_v2,
+        du, dv1, dv2 = recover_full_step(state, du_scaled / sys.p, r_v1, r_v2,
                                          prob.lo, prob.hi)
         v1 = state.v1.values
         v2 = state.v2.values
@@ -487,7 +487,7 @@ class TestWorkingSet:
     stale temporaries the two solves below peak near 32 and 53 vectors.
     """
 
-    @pytest.mark.parametrize("levels, bound", [(1, 24.0), (3, 45.0)])
+    @pytest.mark.parametrize("levels, bound", [(1, 20.0), (3, 32.0)])
     def test_solve_peak_stays_within_bound(self, levels, bound):
         prob = warm_parabolic_problem(4096, levels)
         results = []

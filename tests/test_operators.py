@@ -215,6 +215,61 @@ class TestAdjointH:
             assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
 
 
+class TestBandApply:
+    """The band-limited apply against the full-length transform.
+
+    The oracle is irfft(s rfft(u)) at length n with the operator's own
+    symbol s (the Crank-Nicolson test above checks s).  Dropping the modes
+    with |s| <= eps max|s| moves the result by at most eps max|s| |u|, and
+    max|s| is 1 to roundoff here (c = 0 keeps the constant mode), so
+    4 eps |u| leaves room for the transforms' rounding.
+    """
+
+    # (n, config, B): 10 and 14 keep every mode; 1030 = 103 x 10 and
+    # 16384 = 64 x 256 split at the default kmax = 16; a = 1e-5 keeps modes
+    # up to 310 at n = 1000 (no divisor in [621, 1000), so B = n but the
+    # band is cut) and 337 at n = 16384; c1 = 2 keeps every mode
+    @pytest.mark.parametrize(
+        "n, config, points",
+        [
+            (10, ParabolicConfig(), 10),
+            (14, ParabolicConfig(), 14),
+            (1030, ParabolicConfig(), 103),
+            (16384, ParabolicConfig(), 64),
+            (1000, ParabolicConfig(a=1e-5), 1000),
+            (16384, ParabolicConfig(a=1e-5), 1024),
+            (1030, ParabolicConfig(c1=2.0), 1030),
+        ],
+    )
+    def test_matches_the_full_length_transform(self, n, config, points, rng):
+        op = parabolic_build(build_hierarchy("periodic-interval", n, 1).finest, config)
+        assert op._band[0] == points
+        s = op._symbol
+        u = rng.standard_normal((n, 3))
+        eps = np.finfo(float).eps
+        for apply, symbol in ((op.apply, s), (op.apply_transpose, np.conj(s))):
+            full = np.fft.irfft(symbol[:, None] * np.fft.rfft(u, axis=0), n, axis=0)
+            block = apply(u)
+            for j in range(u.shape[1]):
+                bound = 4.0 * eps * np.linalg.norm(u[:, j])
+                assert np.linalg.norm(block[:, j] - full[:, j]) <= bound
+                assert np.linalg.norm(apply(u[:, j]) - full[:, j]) <= bound
+
+    def test_full_band_is_the_plain_transform(self, rng):
+        # with every mode kept, B = n and the apply is the length-n
+        # transform: the same bits as the full-length formula, for the
+        # vectors and the blocks of the spectral table
+        n = 640
+        op = parabolic_build(build_hierarchy("periodic-interval", n, 1).finest,
+                             ParabolicConfig(c1=2.0))
+        s = op._symbol
+        u = rng.standard_normal(n)
+        assert_array_equal(op.apply(u), np.fft.irfft(s * np.fft.rfft(u), n))
+        block = rng.standard_normal((n, 4))
+        full = np.fft.irfft(s[:, None] * np.fft.rfft(block, axis=0), n, axis=0)
+        assert_array_equal(op.apply(block), full)
+
+
 class TestMatvecCounter:
     def test_each_application_counts_once(self):
         level = build_hierarchy("periodic-interval", 64, 1).finest
@@ -236,7 +291,8 @@ class TestMatvecCounter:
         assert not out.any()
         assert op.matvec_counter == 1
 
-    @pytest.mark.parametrize("n", [8, 9, 63, 64])
+    # 1030 and 4096 split into 103 x 10 and 64 x 64 (see TestBandApply)
+    @pytest.mark.parametrize("n", [8, 9, 63, 64, 1030, 4096])
     def test_block_apply_matches_a_column_loop(self, n, rng):
         # an n x k block is one transform along axis 0, bit for bit the
         # columns applied one by one, and counts one apply per column

@@ -175,8 +175,15 @@ class TestBuildPreconditioner:
         z = mg.coarse_solve(r)
         # the factor path materializes nothing: no level-0 applies so far
         assert ops[0].matvec_counter == 0
-        ref = np.linalg.solve(g_apply(mg.systems[0], np.eye(64)), r)
+        G = g_apply(mg.systems[0], np.eye(64))
+        ref = np.linalg.solve(G, r)
         assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+        # the diagnostics pass n0 x k blocks through the same solve
+        R = rng.standard_normal((64, 3))
+        Z = mg.coarse_solve(R)
+        ref = np.linalg.solve(G, R)
+        assert Z.shape == R.shape
+        assert np.linalg.norm(Z - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_coarse_solve_without_factor_is_exact(self, rng):
         hier = build_hierarchy("periodic-interval", 64, 2)
