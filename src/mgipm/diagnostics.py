@@ -30,7 +30,6 @@ __all__ = [
     "eigenvalues",
     "two_grid_cell",
     "spectral_distance_table",
-    "lemma_a2_check",
 ]
 
 DENSE_LIMIT = 2048
@@ -136,22 +135,3 @@ def spectral_distance_table(op_builder, lambda_rule,
             prev = d
     return reports
 
-
-def lemma_a2_check(sg):
-    """Spectral radius of the preconditioned error versus its bound.
-
-    The iteration matrix I - S G has spectral radius max |1 - alpha| over
-    the spectrum of S G, which the spectral distance controls through
-    rho <= ((e^d - 1)/d) * d = e^d - 1.  sg is S G itself or its
-    compression C from two_grid_cell; the unit eigenvalues C leaves out
-    change neither side.  Returns (lhs, rhs) and raises if the inequality
-    fails beyond a 1e-6 slack.
-    """
-    alpha, d, _ = _cell_spectrum(sg)
-    lhs = float(np.max(np.abs(1.0 - alpha), initial=0.0))
-    rhs = float(np.expm1(d))
-    if lhs > rhs * (1.0 + 1e-6):
-        raise ValueError(
-            f"spectral-radius bound violated: {lhs:.6e} > {rhs:.6e}"
-        )
-    return lhs, rhs

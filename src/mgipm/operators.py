@@ -11,19 +11,23 @@ transpose is also the adjoint in the weighted pairing.
 The parabolic symbol decays like exp(-a (2 pi k)^2 T), so only the modes
 |k| <= kmax with |symbol| > eps max|symbol| are kept (kmax = 16 at the
 default coefficients on every grid from n = 80 up).  Dropping the rest
-moves K u by at most eps max|symbol| |u|.  The apply transforms only that
-band: with n = B L and B >= 2 kmax + 1, B-point transforms of the L
-stride-L subsequences and one twiddle sum per kept mode give its Fourier
-coefficients (a four-step FFT pruned to the band), and the way back is the
-mirror image.  Where n has no such divisor, B = n and the apply is the
-plain length-n transform.
+moves K u by at most eps max|symbol| |u|.  A narrow band is applied as a
+partial DFT (a four-step split of the DFT, pruned to the band): with
+n = B L and u viewed as B x L, one real GEMM with a B x 2(kmax+1) cos/sin
+table gives every kept mode's B-point sum down each column, and one
+twiddle sum per mode over the columns gives its coefficient.  The way
+back scales by the symbol, writes the back-twiddled modes into the same
+buffer and takes one GEMM with the table.  No mode aliases, so any
+divisor B works; L is the largest divisor up to sqrt(n).  A wide band, or
+an n whose split tables would be large (n prime, or twice a prime),
+keeps the plain length-n round trip with the symbol cut at kmax.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, isfinite
+from math import ceil, isfinite, isqrt, log2
 
 import numpy as np
 import scipy.fft
@@ -154,15 +158,6 @@ class ParabolicOperator(ForwardOperator):
         self._first_rows = first_rows
 
     @cached_property
-    def _symbol(self):
-        # eigenvalues of a circulant with first row r are sum_m r[m] w^{mk},
-        # i.e. the conjugate FFT of the row; K is real, so this holds only
-        # the modes k = 0..n//2 (mode n-k is the conjugate of mode k)
-        m_hat, s_hat = np.conj(scipy.fft.rfft(self._first_rows, axis=1))
-        half = 0.5 * self.dt * s_hat
-        return ((m_hat - half) / (m_hat + half)) ** self.n_steps
-
-    @cached_property
     def normal_factor(self):
         """n x r matrix F with K^T K = F F^T to roundoff; no operator applies.
 
@@ -173,7 +168,7 @@ class ParabolicOperator(ForwardOperator):
         much.  Read-only.
         """
         n = self.level.n_dof
-        lam = np.abs(self._symbol) ** 2
+        lam = np.abs(self._band[0]) ** 2
         keep = np.flatnonzero(lam > _EPS * lam.max())
         paired = (keep > 0) & (2 * keep < n)
         scale = np.sqrt(np.where(paired, 2.0, 1.0) * lam[keep] / n)
@@ -185,65 +180,94 @@ class ParabolicOperator(ForwardOperator):
 
     @cached_property
     def _band(self):
-        """Band plan (B, twiddle, back for K, back for K^T) of the apply.
+        """(symbol, split): the kept modes of the symbol, and the split plan.
 
-        kmax is the last mode with |symbol| > eps max|symbol|, and B the
-        smallest divisor of n with B >= 2 kmax + 1 (n if there is none), so
-        the B-point transforms hold every kept mode once.  With L = n/B,
-        twiddle[k, l] = exp(-2 pi i k l / n) for k <= kmax, and back is
-        symbol[k] conj(twiddle[k, l]) / L.  With L = 1 the twiddles are all
-        1: none are stored, and back is the symbol itself.
+        symbol[k] is the eigenvalue of K on mode k for k <= kmax, the last
+        mode with |symbol| > eps max|symbol|.  split is None where the apply
+        is the plain length-n round trip.  Otherwise it is (table, twiddle,
+        weight) for n = B L, L the largest divisor of n up to sqrt(n):
+        table[b, 2k] = cos(2 pi k b / B) and table[b, 2k + 1] =
+        -sin(2 pi k b / B), twiddle[l, k] = exp(-2 pi i k l / n), and
+        weight[k] the real output's weight of mode k: 1/n for k = 0, which
+        has no conjugate partner, and 2/n for the others (a split keeps
+        kmax + 1 <= sqrt(n), so the Nyquist mode is never among them).
         """
         n = self.level.n_dof
-        symbol = self._symbol
-        mag = np.abs(symbol)
-        keep = mag > _EPS * mag.max()
+        # eigenvalues of a circulant with first row r are sum_m r[m] w^{mk},
+        # i.e. the conjugate FFT of the row; K is real, so the modes
+        # k = 0..n//2 hold it all (mode n-k is the conjugate of mode k)
+        m_hat, s_hat = np.conj(scipy.fft.rfft(self._first_rows, axis=1))
+        half = 0.5 * self.dt * s_hat
+        step = (m_hat - half) / (m_hat + half)
+        # |symbol| = |step|^n_steps, so mode k is kept when
+        # n_steps log(|step_k| / max|step|) > log eps; only those are raised
+        mag = np.abs(step)
+        cut = mag.max() * _EPS ** (1.0 / self.n_steps)
         # a band that keeps the last mode needs no search (c1 = 2 keeps all)
-        kmax = keep.size - 1 if keep[-1] else int(keep.nonzero()[0][-1])
-        points = next((b for b in range(2 * kmax + 1, n) if n % b == 0), n)
-        stride = n // points
-        head = symbol[: kmax + 1, None]
-        if stride == 1:
-            return points, None, head, np.conj(head)
+        kmax = mag.size - 1 if mag[-1] > cut else int(np.flatnonzero(mag > cut)[-1])
+        symbol = step[: kmax + 1] ** self.n_steps
+        stride = next(d for d in range(isqrt(n), 0, -1) if n % d == 0)
+        points = n // stride
+        # the split costs 8 (kmax + 1) n flops in two GEMMs and the round
+        # trip about 5 n log2 n in two FFTs, which run at a several times
+        # lower rate.  With one BLAS thread at n = 1024 to 65536 the two
+        # broke even between kmax + 1 = 4 log2 n and 6 log2 n.  The tables
+        # hold 2 (kmax + 1)(B + L) numbers; past 4 n (n prime, or twice a
+        # prime) the split is not used either
+        if kmax + 1 > 4.0 * log2(n) or (kmax + 1) * (points + stride) > 2 * n:
+            return symbol, None
+        k = np.arange(kmax + 1)
         # integer phases keep the angles exact before the one rounding
-        phase = np.outer(np.arange(kmax + 1), np.arange(stride)) % n
-        angle = (2.0 * np.pi / n) * phase
+        angle = (2.0 * np.pi / points) * (np.outer(np.arange(points), k) % points)
+        table = np.stack([np.cos(angle), -np.sin(angle)], axis=-1).reshape(points, -1)
+        angle = (2.0 * np.pi / n) * (np.outer(np.arange(stride), k) % n)
         twiddle = np.cos(angle) - 1j * np.sin(angle)
-        back = np.conj(twiddle) / stride
-        return points, twiddle, head * back, np.conj(head) * back
+        weight = np.where(k == 0, 1.0, 2.0) / n
+        return symbol, (table, twiddle, weight)
 
     def _apply(self, u):
-        return self._filter(self._band[2], u)
+        return self._filter(self._band[0], u)
 
     def _apply_transpose(self, u):
-        return self._filter(self._band[3], u)
+        return self._filter(np.conj(self._band[0]), u)
 
-    def _filter(self, back, u):
-        points, twiddle = self._band[:2]
-        n = u.shape[0]
-        stride = n // points
-        if u.ndim == 1:
-            x = u.reshape(points, stride)
-        else:
-            # the block's columns go in the middle, so every twiddle sum runs
-            # over one contiguous row and a block gives the bits of its columns
-            x = u.reshape(points, stride, u.shape[1]).transpose(0, 2, 1)
-            back = back[:, None, :]
-            if stride > 1:
-                twiddle = twiddle[:, None, :]
-        # entry (b, l) of x is u[b L + l]: column l is the stride-L subsequence
-        # from l, and sum_l twiddle[k, l] (its B-point transform)[k] is mode k of u
-        v = scipy.fft.rfft(x, axis=0)
-        head = v[: back.shape[0]]
-        coef = head if stride == 1 else (twiddle * head).sum(axis=-1, keepdims=True)
-        # the way back: mode k of K u, times back-twiddles, is entry k of the
-        # B-point transform of each output column; the modes past kmax are 0.
-        # back goes first: numpy rounds a complex product by operand order,
-        # and this order gives a full band the bits of irfft(s * rfft(u))
-        np.multiply(back, coef, out=head)
-        v[head.shape[0]:] = 0.0
-        y = scipy.fft.irfft(v, points, axis=0, overwrite_x=True)
-        return y.reshape(n) if u.ndim == 1 else y.transpose(0, 2, 1).reshape(u.shape)
+    def _filter(self, symbol, u):
+        split = self._band[1]
+        if split is None:
+            # the modes past kmax are cut.  symbol goes first: numpy rounds
+            # a complex product by operand order, and this order gives a
+            # full band the bits of irfft(s * rfft(u))
+            v = scipy.fft.rfft(u, axis=0)
+            head = v[: symbol.shape[0]]
+            np.multiply(symbol if u.ndim == 1 else symbol[:, None], head, out=head)
+            v[head.shape[0]:] = 0.0
+            return scipy.fft.irfft(v, u.shape[0], axis=0, overwrite_x=True)
+        if u.ndim == 2:
+            # one column at a time: a block's columns get the bits of single
+            # applies, and no solve applies narrow-band blocks
+            y = np.empty_like(u)
+            for j in range(u.shape[1]):
+                y[:, j] = self._filter(symbol, u[:, j])
+            return y
+        table, twiddle, weight = split
+        # entry (b, l) of x is u[b L + l].  Column l's B-point sums for the
+        # kept modes come out of one GEMM as L x (kmax + 1) complex numbers;
+        # times twiddle and summed over l they are the modes of u
+        x = u.reshape(table.shape[0], -1)
+        r = (x.T @ table).view(complex)
+        r *= twiddle
+        coef = r.sum(axis=0)
+        coef *= symbol
+        coef *= weight
+        # the way back: mode k of K u times the back-twiddles, written into
+        # the same buffer; one GEMM with the table sums the real parts.
+        # OpenBLAS takes a C-ordered copy of the buffer's transpose about
+        # 5 us faster at n = 16384 than the transposed view itself
+        np.conjugate(twiddle, out=r)
+        r *= coef
+        w = np.ascontiguousarray(r.view(float).T)
+        del r  # freed before the output is allocated: the peak is w and y
+        return (table @ w).reshape(u.shape)
 
 
 def parabolic_build(level, config=None, level_index=0):

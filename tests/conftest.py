@@ -7,15 +7,19 @@ iteration, step lengths by bisection, and the tiny QP by enumerating
 activity patterns.  None of it shares code with the package internals, so
 agreement between the two is meaningful.  The exceptions are marked: a
 dense forward operator for desk problems and the self-convergence probe of
-the forward maps, which drive the package's public interface.
+the forward maps, which drive the package's public interface, and the
+parabolic symbol and the spectral-radius bound check, which repeat the
+package's arithmetic.
 """
 
 import tracemalloc
+from math import ceil
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mgipm.diagnostics import _cell_spectrum
 from mgipm.grid import (
     KIND_PERIODIC,
     GridHierarchy,
@@ -342,6 +346,56 @@ def convergence_probe(hierarchy, build, u_smooth):
         )
         errors.append(l2)
     return errors
+
+
+# ---------------------------------------------------------------------------
+# spectral oracles of the parabolic operator and the two-grid map (these
+# two repeat the package's arithmetic on its definitions, so that a band
+# test need not read the operator's own symbol)
+
+def crank_nicolson_symbol(level, config):
+    """Eigenvalues s[k], k = 0..n//2, of the parabolic operator on a level.
+
+    K = E^N with E = (M + dt/2 S)^{-1}(M - dt/2 S), N = ceil(T/(c1 h)) and
+    dt = T/N.  M and S are circulant, with the first rows of the P1 mass
+    and transport matrices of u_t - a u_xx - b u_x + c u; their
+    eigenvalues are the conjugate DFTs of those rows.  Every mode is
+    computed, including the ones the operator drops.
+    """
+    n, h = level.n_cells, level.h
+    a, b, c = config.a, config.b, config.c
+    n_steps = max(1, ceil(config.T / (config.c1 * h)))
+    dt = config.T / n_steps
+    rows = np.zeros((2, n))
+    rows[0, 0] = 2.0 * h / 3.0
+    rows[0, 1] = h / 6.0
+    rows[0, -1] = h / 6.0
+    rows[1, 0] = 2.0 * a / h + 2.0 * c * h / 3.0
+    rows[1, 1] = -a / h - b / 2.0 + c * h / 6.0
+    rows[1, -1] = -a / h + b / 2.0 + c * h / 6.0
+    mass, transport = np.conj(np.fft.rfft(rows, axis=1))
+    half = 0.5 * dt * transport
+    return ((mass - half) / (mass + half)) ** n_steps
+
+
+def lemma_a2_check(sg):
+    """Spectral radius of the preconditioned error versus its bound.
+
+    The iteration matrix I - S G has spectral radius max |1 - alpha| over
+    the spectrum of S G, which the spectral distance controls through
+    rho <= ((e^d - 1)/d) * d = e^d - 1.  sg is S G itself or its
+    compression C from two_grid_cell; the unit eigenvalues C leaves out
+    change neither side.  Returns (lhs, rhs) and raises if the inequality
+    fails beyond a 1e-6 slack.
+    """
+    alpha, d, _ = _cell_spectrum(sg)
+    lhs = float(np.max(np.abs(1.0 - alpha), initial=0.0))
+    rhs = float(np.expm1(d))
+    if lhs > rhs * (1.0 + 1e-6):
+        raise ValueError(
+            f"spectral-radius bound violated: {lhs:.6e} > {rhs:.6e}"
+        )
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import DenseOperator, convergence_probe, enumerate_box_qp, toy_hierarchy
+from conftest import (
+    DenseOperator,
+    convergence_probe,
+    enumerate_box_qp,
+    lemma_a2_check,
+    toy_hierarchy,
+)
 from mgipm.cli import run_elliptic, run_parabolic, two_bump_target
-from mgipm.diagnostics import eigenvalues, lemma_a2_check, two_grid_cell
+from mgipm.diagnostics import eigenvalues, two_grid_cell
 from mgipm.grid import (
     NodalField,
     build_hierarchy,

@@ -5,12 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
-from conftest import char_poly_coeffs, durand_kerner, power_dominant
+from conftest import char_poly_coeffs, durand_kerner, lemma_a2_check, power_dominant
 from mgipm import precond
 from mgipm.diagnostics import (
     _cell_spectrum,
     eigenvalues,
-    lemma_a2_check,
     spectral_distance_table,
     two_grid_cell,
 )

@@ -11,6 +11,7 @@ from numpy.testing import assert_array_equal
 
 from conftest import (
     convergence_probe,
+    crank_nicolson_symbol,
     mass_matrix_dirichlet,
     mass_matrix_periodic,
     peak_vectors,
@@ -218,33 +219,44 @@ class TestAdjointH:
 class TestBandApply:
     """The band-limited apply against the full-length transform.
 
-    The oracle is irfft(s rfft(u)) at length n with the operator's own
-    symbol s (the Crank-Nicolson test above checks s).  Dropping the modes
-    with |s| <= eps max|s| moves the result by at most eps max|s| |u|, and
+    The oracle is irfft(s rfft(u)) at length n with the full symbol s of
+    crank_nicolson_symbol (the Crank-Nicolson test above checks the
+    operator against the dense matrices).  Dropping the modes with
+    |s| <= eps max|s| moves the result by at most eps max|s| |u|, and
     max|s| is 1 to roundoff here (c = 0 keeps the constant mode), so
-    4 eps |u| leaves room for the transforms' rounding.
+    4 eps |u| leaves room for the rounding of the sums.
     """
 
+    @staticmethod
+    def points(op):
+        # B of the split n = B L, or n where the apply is the plain transform
+        split = op._band[1]
+        return op.level.n_dof if split is None else split[0].shape[0]
+
     # (n, config, B): 10 and 14 keep every mode; 1030 = 103 x 10 and
-    # 16384 = 64 x 256 split at the default kmax = 16; a = 1e-5 keeps modes
-    # up to 310 at n = 1000 (no divisor in [621, 1000), so B = n but the
-    # band is cut) and 337 at n = 16384; c1 = 2 keeps every mode
+    # 16384 = 128 x 128 split the default band (kmax = 16); a = 1e-5 keeps
+    # modes up to 310 at n = 1000 and 337 at n = 16384, past the GEMMs'
+    # crossover; 1021 is prime and 1018 = 2 x 509, so no split has small
+    # tables; c1 = 2 keeps every mode
     @pytest.mark.parametrize(
         "n, config, points",
         [
             (10, ParabolicConfig(), 10),
             (14, ParabolicConfig(), 14),
             (1030, ParabolicConfig(), 103),
-            (16384, ParabolicConfig(), 64),
+            (16384, ParabolicConfig(), 128),
             (1000, ParabolicConfig(a=1e-5), 1000),
-            (16384, ParabolicConfig(a=1e-5), 1024),
+            (16384, ParabolicConfig(a=1e-5), 16384),
             (1030, ParabolicConfig(c1=2.0), 1030),
+            (1021, ParabolicConfig(), 1021),
+            (1018, ParabolicConfig(), 1018),
         ],
     )
     def test_matches_the_full_length_transform(self, n, config, points, rng):
-        op = parabolic_build(build_hierarchy("periodic-interval", n, 1).finest, config)
-        assert op._band[0] == points
-        s = op._symbol
+        level = build_hierarchy("periodic-interval", n, 1).finest
+        op = parabolic_build(level, config)
+        assert self.points(op) == points
+        s = crank_nicolson_symbol(level, config)
         u = rng.standard_normal((n, 3))
         eps = np.finfo(float).eps
         for apply, symbol in ((op.apply, s), (op.apply_transpose, np.conj(s))):
@@ -256,18 +268,31 @@ class TestBandApply:
                 assert np.linalg.norm(apply(u[:, j]) - full[:, j]) <= bound
 
     def test_full_band_is_the_plain_transform(self, rng):
-        # with every mode kept, B = n and the apply is the length-n
-        # transform: the same bits as the full-length formula, for the
-        # vectors and the blocks of the spectral table
+        # with every mode kept the apply is the length-n transform: the
+        # same bits as the full-length formula, for the vectors and the
+        # blocks of the spectral table
         n = 640
-        op = parabolic_build(build_hierarchy("periodic-interval", n, 1).finest,
-                             ParabolicConfig(c1=2.0))
-        s = op._symbol
+        config = ParabolicConfig(c1=2.0)
+        level = build_hierarchy("periodic-interval", n, 1).finest
+        op = parabolic_build(level, config)
+        s = crank_nicolson_symbol(level, config)
         u = rng.standard_normal(n)
         assert_array_equal(op.apply(u), np.fft.irfft(s * np.fft.rfft(u), n))
         block = rng.standard_normal((n, 4))
         full = np.fft.irfft(s[:, None] * np.fft.rfft(block, axis=0), n, axis=0)
         assert_array_equal(op.apply(block), full)
+
+    def test_narrow_band_apply_peak(self, rng):
+        # a warmed split apply holds an L x 2(kmax + 1) buffer (0.27 n here)
+        # besides its output: 1.28 n-vectors measured at n = 16384, where
+        # the B-point FFT round trip took 2.04
+        n = 16384
+        op = parabolic_build(build_hierarchy("periodic-interval", n, 1).finest,
+                             ParabolicConfig())
+        u = rng.standard_normal(n)
+        for apply in (op.apply, op.apply_transpose):
+            apply(u)
+            assert peak_vectors(lambda: apply(u), n) <= 1.4
 
 
 class TestMatvecCounter:

@@ -18,6 +18,7 @@ REMOVED = (
     "DenseOperator",
     "convergence_probe",
     "LinearOperatorHandle",
+    "lemma_a2_check",
 )
 
 

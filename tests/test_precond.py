@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import DenseOperator
-from mgipm.diagnostics import lemma_a2_check
+from conftest import DenseOperator, lemma_a2_check
 from mgipm.grid import NodalField, build_hierarchy, l2_project, node_coordinates, prolong
 from mgipm.operators import ParabolicConfig, ZeroOperator, parabolic_build
 from mgipm.precond import build_preconditioner, g_apply, make_scaled_system, mg_apply
