@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -68,7 +68,6 @@ _SCHEMA = {
     "krylov_tol": float,
     "krylov_maxit": int,
     "coarsest_solver": str,
-    "coarsest_tol": float,
     "h_list": "floatlist",
     "beta_list": "floatlist",
 }
@@ -184,12 +183,7 @@ def _bounds(cfg, n, default_lo, default_hi):
 
 
 def _ipm_options(cfg):
-    kw = {}
-    for key in ("mu_tol", "resid_tol", "max_outer", "step_fraction",
-                "krylov_tol", "krylov_maxit", "coarsest_solver",
-                "coarsest_tol"):
-        if key in cfg:
-            kw[key] = cfg[key]
+    kw = {f.name: cfg[f.name] for f in fields(IpmOptions) if f.name in cfg}
     try:
         return IpmOptions(**kw)
     except ValueError as exc:

@@ -32,7 +32,6 @@ __all__ = [
     "IpmState",
     "IpmResult",
     "OuterIterationRecord",
-    "ReducedSystem",
     "kkt_residuals",
     "compute_mu",
     "reduce_to_scaled",
@@ -112,7 +111,6 @@ class IpmOptions:
     krylov_tol: float = 1e-8
     krylov_maxit: int = 500
     coarsest_solver: str = "auto"
-    coarsest_tol: float = 1e-10
 
     def __post_init__(self):
         if not 0.0 < self.step_fraction < 1.0:
@@ -121,7 +119,7 @@ class IpmOptions:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
         if self.krylov_maxit < 1:
             raise ValueError(f"krylov_maxit must be >= 1, got {self.krylov_maxit}")
-        for name in ("mu_tol", "resid_tol", "krylov_tol", "coarsest_tol"):
+        for name in ("mu_tol", "resid_tol", "krylov_tol"):
             value = getattr(self, name)
             if not (isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -148,19 +146,6 @@ class IpmResult:
     converged: bool
     mu0: float
     mu_final: float
-
-
-@dataclass(frozen=True)
-class ReducedSystem:
-    """Inputs of the scaled inner solve for one outer iteration.
-
-    The scaling p = sqrt(lambda) is not kept here: the inner solve's
-    finest ScaledSystem holds it, once.
-    """
-
-    m: np.ndarray
-    lam: NodalField
-    rhs: np.ndarray
 
 
 def _values(state, *fields):
@@ -211,11 +196,11 @@ def kkt_residuals(prob, state, ktwf=None):
 
 
 def reduce_to_scaled(prob, state, r_u, r_v1, r_v2):
-    """Eliminate the multiplier blocks and rescale.
+    """Eliminate the multiplier blocks and rescale; returns (lam, rhs).
 
-    m = v1/(u-lo) + v2/(hi-u) collects the complementarity diagonal,
-    lambda = m/w + beta its weighted shift, and the returned rhs is
-    D_{1/p} W^{-1} (r_u + r_v1/(u-lo) - r_v2/(hi-u)) with p = sqrt(lambda),
+    With the complementarity diagonal m = v1/(u-lo) + v2/(hi-u), lam is
+    its weighted shift m/w + beta on the finest level, and rhs is
+    D_{1/p} W^{-1} (r_u + r_v1/(u-lo) - r_v2/(hi-u)) with p = sqrt(lam),
     so that G du' = rhs and du = D_{1/p} du'.
     """
     u, v1, v2, lo, hi = _values(state, prob.lo, prob.hi)
@@ -223,10 +208,9 @@ def reduce_to_scaled(prob, state, r_u, r_v1, r_v2):
     g1 = u - lo
     g2 = hi - u
     w = prob.hierarchy.finest.weights
-    m = v1 / g1 + v2 / g2
-    lam_vals = m / w + prob.beta
+    lam_vals = (v1 / g1 + v2 / g2) / w + prob.beta
     rhs = _scaled_rhs(r_u, r_v1, r_v2, g1, g2, w, np.sqrt(lam_vals))
-    return ReducedSystem(m, NodalField(prob.hierarchy.n_levels - 1, lam_vals), rhs)
+    return NodalField(prob.hierarchy.n_levels - 1, lam_vals), rhs
 
 
 def _scaled_rhs(r_u, r_v1, r_v2, g1, g2, w, p):
@@ -259,36 +243,24 @@ def step_lengths(state, du, dv1, dv2, lo, hi, tau):
     scaled by tau.  The dual length is joint over both multipliers.
     """
     u, v1, v2, lov, hiv = _values(state, lo, hi)
-    ap = _max_primal_step(u, lov, hiv, np.asarray(du, dtype=float))
-    ad = _max_dual_step(v1, v2, np.asarray(dv1, dtype=float), np.asarray(dv2, dtype=float))
+    du = np.asarray(du, dtype=float)
+    ap = min(_max_step(u - lov, du), _max_step(hiv - u, -du))
+    ad = min(_max_step(v1, np.asarray(dv1, dtype=float)),
+             _max_step(v2, np.asarray(dv2, dtype=float)))
     alpha_p = 1.0 if ap > 1.0 else tau * ap
     alpha_d = 1.0 if ad > 1.0 else tau * ad
     return alpha_p, alpha_d
 
 
-def _max_primal_step(u, lo, hi, du):
-    amax = np.inf
-    neg = du < 0.0
-    if np.any(neg):
-        amax = min(amax, np.min((u[neg] - lo[neg]) / -du[neg]))
-    pos = du > 0.0
-    if np.any(pos):
-        amax = min(amax, np.min((hi[pos] - u[pos]) / du[pos]))
-    return amax
+def _max_step(x, dx):
+    """Largest alpha with x + alpha dx >= 0 nodewise, for x > 0 (inf if none)."""
+    neg = dx < 0.0
+    return (x[neg] / -dx[neg]).min(initial=np.inf)
 
 
-def _max_dual_step(v1, v2, dv1, dv2):
-    amax = np.inf
-    for v, dv in ((v1, dv1), (v2, dv2)):
-        neg = dv < 0.0
-        if np.any(neg):
-            amax = min(amax, np.min(v[neg] / -dv[neg]))
-    return amax
-
-
-def _inner_solver(prob, red, opts):
-    """(inner, p): rhs -> (du, report), the scaled inner solve for red's
-    lambda, unscaled; and p = sqrt(lambda) of its finest system.
+def _inner_solver(prob, lam, opts):
+    """(inner, p): rhs -> (du, report), the scaled inner solve for the
+    finest-level lam, unscaled; and p = sqrt(lam) of its finest system.
 
     One level runs CG on the symmetric G; more levels run CGS with the
     multigrid cycle, whose preconditioner is built here once per call.
@@ -297,7 +269,7 @@ def _inner_solver(prob, red, opts):
     # the lambdas look g_apply and mg_apply up per call, so a wrapper
     # installed on them is seen
     if hier.n_levels == 1:
-        sys = make_scaled_system(prob.operators[-1], red.lam.values, prob.beta)
+        sys = make_scaled_system(prob.operators[-1], lam.values, prob.beta)
 
         def inner(rhs):
             y, rep = cg(lambda v: g_apply(sys, v), rhs,
@@ -305,11 +277,8 @@ def _inner_solver(prob, red, opts):
             return y / sys.p, rep
 
         return inner, sys.p
-    mg = build_preconditioner(
-        hier, prob.operators, red.lam, prob.beta,
-        coarsest_solver=opts.coarsest_solver,
-        coarsest_tol=opts.coarsest_tol,
-    )
+    mg = build_preconditioner(hier, prob.operators, lam, prob.beta,
+                              coarsest_solver=opts.coarsest_solver)
     sys = mg.systems[-1]
 
     def inner(rhs):
@@ -352,10 +321,9 @@ def solve(prob, opts=None):
     converged = False
     # every n-vector is dropped after its last use, not at its next binding
     for it in range(1, opts.max_outer + 1):
-        red = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
-        rhs = red.rhs
-        inner, p = _inner_solver(prob, red, opts)
-        del red
+        lam, rhs = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
+        inner, p = _inner_solver(prob, lam, opts)
+        del lam
         lam_w2 = discrete_w2inf(level, 1.0 / p)
 
         # predictor: pure Newton step toward mu = 0

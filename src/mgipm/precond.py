@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 DENSE_COARSE_LIMIT = 2048
-COARSEST_SOLVERS = ("auto", "dense", "cg")
+COARSEST_SOLVERS = ("auto", "cg")
 
 
 @dataclass
@@ -65,57 +65,37 @@ def g_apply(sys, u):
 
 @dataclass
 class MgPreconditioner:
-    """Scaled systems per level plus a prepared coarsest-level inverse."""
+    """Scaled systems per level plus the coarsest-level inverse r -> G_0^{-1} r."""
 
     hierarchy: GridHierarchy
     systems: list
-    coarsest_solver: str
-    coarsest_tol: float
-    _coarse_inverse: object = field(default=None, repr=False)
-    coarse_cg_iterations: int = 0
+    coarse_inverse: object = field(repr=False)
 
     @property
     def n_levels(self):
         return len(self.systems)
 
     def coarse_solve(self, r):
-        if self._coarse_inverse is not None:
-            return self._coarse_inverse(r)
-        sys0 = self.systems[0]
-        # g_apply is looked up per call, so a wrapper installed on it is seen
-        z, report = cg(lambda v: g_apply(sys0, v), r,
-                       tol=self.coarsest_tol, maxit=5000)
-        if not report.converged:
-            raise RuntimeError(
-                f"coarsest-level CG stalled at {report.final_relative_residual:.2e}"
-            )
-        self.coarse_cg_iterations += report.iterations
-        return z
+        return self.coarse_inverse(r)
 
 
-def build_preconditioner(
-    hierarchy,
-    operators,
-    lam,
-    beta,
-    coarsest_solver="auto",
-    coarsest_tol=1e-10,
-):
+def build_preconditioner(hierarchy, operators, lam, beta, coarsest_solver="auto"):
     """Assemble the preconditioner for a given finest-level lambda.
 
     operators lists one forward operator per hierarchy level, coarsest
     first.  lam lives on the finest level and is moved down by discarding
     fine-node values; every level must keep lambda >= beta > 0.
 
-    "dense" inverts the coarsest G exactly to roundoff.  When the coarsest
-    operator has a normal_factor F (K^T K = F F^T, rank r), that is the
-    Woodbury identity on G = I + B B^T with B = D_{1/p} F: a Cholesky
+    The coarse inverse is fixed here, from the coarsest operator's
+    structure.  Under "auto" it is exact to roundoff where that is cheap.
+    When the operator has a normal_factor F (K^T K = F F^T, rank r), it is
+    the Woodbury identity on G = I + B B^T with B = D_{1/p} F: a Cholesky
     factor of I_r + B^T B per call, O(n0 r^2), and O(n0 r) per solve.
-    Otherwise G is assembled from the operator's normal_matrix (K^T K,
-    materialized once per operator since it does not depend on lambda)
-    and LU-factored.  "cg" runs unpreconditioned CG at coarsest_tol.
-    "auto" picks "dense" whenever there is a factor, and otherwise up to
-    DENSE_COARSE_LIMIT coarsest dof, "cg" above that.
+    Otherwise, up to DENSE_COARSE_LIMIT coarsest dof, G is assembled from
+    the operator's normal_matrix (K^T K, materialized once per operator
+    since it does not depend on lambda) and LU-factored.  Above that, and
+    always under "cg", each coarse solve runs unpreconditioned CG to a
+    relative residual of 1e-10.
     """
     if len(operators) != hierarchy.n_levels:
         raise ValueError(
@@ -123,6 +103,8 @@ def build_preconditioner(
         )
     if hierarchy.n_levels < 2:
         raise ValueError("preconditioner needs at least two levels")
+    if coarsest_solver not in COARSEST_SOLVERS:
+        raise ValueError(f"unknown coarsest solver {coarsest_solver!r}")
     finest = hierarchy.n_levels - 1
     if lam.level_index != finest:
         raise ValueError("lambda must live on the finest level")
@@ -136,15 +118,26 @@ def build_preconditioner(
     ]
 
     sys0 = systems[0]
-    if coarsest_solver == "auto":
-        exact = (sys0.operator.normal_factor is not None
-                 or hierarchy.levels[0].n_dof <= DENSE_COARSE_LIMIT)
-        coarsest_solver = "dense" if exact else "cg"
-    if coarsest_solver not in COARSEST_SOLVERS:
-        raise ValueError(f"unknown coarsest solver {coarsest_solver!r}")
+    if coarsest_solver == "auto" and (
+        sys0.operator.normal_factor is not None
+        or hierarchy.levels[0].n_dof <= DENSE_COARSE_LIMIT
+    ):
+        inverse = _exact_inverse(sys0)
+    else:
+        inverse = partial(_coarse_cg, sys0)
+    return MgPreconditioner(hierarchy, systems, inverse)
 
-    inverse = _exact_inverse(sys0) if coarsest_solver == "dense" else None
-    return MgPreconditioner(hierarchy, systems, coarsest_solver, coarsest_tol, inverse)
+
+def _coarse_cg(sys, r):
+    """r -> G^{-1} r by unpreconditioned CG to a relative residual of 1e-10."""
+    # cg and g_apply are looked up per call, so a wrapper installed on them
+    # is seen
+    z, report = cg(lambda v: g_apply(sys, v), r, tol=1e-10, maxit=5000)
+    if not report.converged:
+        raise RuntimeError(
+            f"coarsest-level CG stalled at {report.final_relative_residual:.2e}"
+        )
+    return z
 
 
 def _exact_inverse(sys):

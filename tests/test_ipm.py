@@ -119,8 +119,8 @@ class TestControlProblem:
 class TestIpmOptions:
     @pytest.mark.parametrize("kw", [
         {"step_fraction": 1.5}, {"max_outer": 0}, {"coarsest_solver": "lu"},
-        {"krylov_tol": math.nan}, {"krylov_tol": 0.0}, {"coarsest_tol": math.nan},
-        {"coarsest_tol": math.inf}, {"resid_tol": -1e-8}, {"resid_tol": math.inf},
+        {"coarsest_solver": "dense"}, {"krylov_tol": math.nan}, {"krylov_tol": 0.0},
+        {"resid_tol": -1e-8}, {"resid_tol": math.inf},
         {"mu_tol": -1.0}, {"mu_tol": math.nan}, {"krylov_maxit": 0},
     ])
     def test_rejects_out_of_range_values(self, kw):
@@ -192,22 +192,23 @@ class TestReduceToScaled:
         )
         state = make_state(u, np.ones(3), np.ones(3))
         r_u, r_v1, r_v2, _ = kkt_residuals(prob, state)
-        red = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
-        assert_allclose(red.m, 2.0, rtol=0)
+        lam, _ = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
+        # m = v1/(u-lo) + v2/(hi-u) = 2 at every node
         w = hier.finest.weights
-        assert_allclose(red.lam.values, 2.0 / w + 0.05, rtol=1e-15)
+        assert_allclose(lam.values, 2.0 / w + 0.05, rtol=1e-15)
 
     def test_zero_operator_solves_in_closed_form(self, rng):
         prob = zero_problem(16, beta=0.7, lo=0.0, hi=1.0, f=rng.standard_normal(16))
         u = rng.uniform(0.2, 0.8, 16)
         state = make_state(u, rng.uniform(0.5, 2.0, 16), rng.uniform(0.5, 2.0, 16))
         r_u, r_v1, r_v2, _ = kkt_residuals(prob, state)
-        red = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
+        lam, rhs = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
         # G is the identity here, so the scaled solve is a division
-        du = red.rhs / np.sqrt(red.lam.values)
+        du = rhs / np.sqrt(lam.values)
         w = prob.hierarchy.finest.weights
         r = r_u + r_v1 / (u - 0.0) - r_v2 / (1.0 - u)
-        assert_allclose(du, r / (red.m + 0.7 * w), rtol=1e-13)
+        m = state.v1.values / (u - 0.0) + state.v2.values / (1.0 - u)
+        assert_allclose(du, r / (m + 0.7 * w), rtol=1e-13)
 
     def test_rejects_infeasible_state(self):
         prob = zero_problem(8, lo=0.0, hi=1.0)
@@ -220,16 +221,17 @@ class TestReduceToScaled:
         u = rng.uniform(-1.5, 1.5, 64)
         state = make_state(u, rng.uniform(0.1, 2.0, 64), rng.uniform(0.1, 2.0, 64))
         r_u, r_v1, r_v2, _ = kkt_residuals(prob, state)
-        red = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
-        sys = make_scaled_system(prob.operators[0], red.lam.values, prob.beta)
+        lam, rhs = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
+        sys = make_scaled_system(prob.operators[0], lam.values, prob.beta)
         G = g_apply(sys, np.eye(64))
-        du = np.linalg.solve(G, red.rhs) / sys.p
+        du = np.linalg.solve(G, rhs) / sys.p
         op = prob.operators[0]
         K = np.column_stack([op.apply(col) for col in np.eye(64)])
         w = prob.hierarchy.finest.weights
         A = 0.5 * np.diag(w) + K.T @ np.diag(w) @ K
         r = r_u + r_v1 / (u + 2.0) - r_v2 / (2.0 - u)
-        resid = (A + np.diag(red.m)) @ du - r
+        m = state.v1.values / (u + 2.0) + state.v2.values / (2.0 - u)
+        resid = (A + np.diag(m)) @ du - r
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(r)
 
 
@@ -258,9 +260,9 @@ class TestRecoverFullStep:
         u = rng.uniform(-1.5, 1.5, 64)
         state = make_state(u, rng.uniform(0.1, 2.0, 64), rng.uniform(0.1, 2.0, 64))
         r_u, r_v1, r_v2, _ = kkt_residuals(prob, state)
-        red = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
-        sys = make_scaled_system(prob.operators[0], red.lam.values, prob.beta)
-        du_scaled = np.linalg.solve(g_apply(sys, np.eye(64)), red.rhs)
+        lam, rhs = reduce_to_scaled(prob, state, r_u, r_v1, r_v2)
+        sys = make_scaled_system(prob.operators[0], lam.values, prob.beta)
+        du_scaled = np.linalg.solve(g_apply(sys, np.eye(64)), rhs)
         du, dv1, dv2 = recover_full_step(state, du_scaled / sys.p, r_v1, r_v2,
                                          prob.lo, prob.hi)
         v1 = state.v1.values
@@ -432,11 +434,10 @@ class TestSolve:
             prob = ControlProblem(hier, chain, NodalField(2, f), 1e-3,
                                   NodalField(2, np.zeros(256)),
                                   NodalField(2, np.ones(256)))
-            result = solve(prob, IpmOptions(coarsest_solver="dense"))
+            result = solve(prob)
             assert result.converged and len(result.records) > 1
             assert coarse.matvec_counter == applies
-            ipm_mod.build_preconditioner(hier, chain, NodalField(2, np.full(256, 3.0)),
-                                         1e-3, coarsest_solver="dense")
+            ipm_mod.build_preconditioner(hier, chain, NodalField(2, np.full(256, 3.0)), 1e-3)
             assert coarse.matvec_counter == applies
 
     def test_preconditioner_built_once_per_outer(self, monkeypatch):

@@ -19,6 +19,7 @@ REMOVED = (
     "convergence_probe",
     "LinearOperatorHandle",
     "lemma_a2_check",
+    "ReducedSystem",
 )
 
 

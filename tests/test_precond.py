@@ -144,7 +144,7 @@ class TestBuildPreconditioner:
         lam = sine_lambda(hier, 1.0)
         r = rng.standard_normal(80)
         outs = []
-        for solver in ("dense", "cg"):
+        for solver in ("auto", "cg"):
             mg = build_preconditioner(
                 hier, parabolic_chain(hier), lam, beta=1.0, coarsest_solver=solver
             )
@@ -162,7 +162,6 @@ class TestBuildPreconditioner:
         ref = mg_apply(build_preconditioner(
             hier, parabolic_chain(hier), lam, beta=1.0, coarsest_solver="cg"), r)
         out = mg_apply(auto, r)
-        assert auto.coarsest_solver == "dense" and auto.coarse_cg_iterations == 0
         assert ops[0].matvec_counter == 0
         assert np.linalg.norm(out - ref) <= 1e-9 * np.linalg.norm(out)
 
