@@ -121,27 +121,43 @@ def _parse_real(text):
     return float(text)
 
 
+def _fmt_real(value):
+    v = float(value)
+    return "" if v != v else f"{v:.17g}"
+
+
+def _fmt_int(value):
+    return str(int(value))
+
+
+# formatters by exact type, for the types the experiments emit; other
+# numbers go by kind (bool admits no subclasses), anything else through str
+_FORMATS = {
+    type(None): lambda value: "",
+    bool: lambda value: "true" if value else "false",
+    int: str,
+    np.int64: _fmt_int,
+    float: _fmt_real,
+    np.float64: _fmt_real,
+    str: str,
+}
+_KINDS = (((int, np.integer), _fmt_int), ((float, np.floating), _fmt_real))
+
+
 def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if v != v:
-            return ""
-        return f"{v:.17g}"
-    return str(value)
+    fmt = _FORMATS.get(type(value))
+    if fmt is None:
+        fmt = next((f for kind, f in _KINDS if isinstance(value, kind)), str)
+    return fmt(value)
 
 
 def emit_csv(header, rows, path):
     """Write one CSV with fixed column order and 17-digit reals."""
+    lines = [",".join(header)]
+    lines.extend([",".join(map(_fmt, row)) for row in rows])
+    lines.append("")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines))
 
 
 def two_bump_target(x):

@@ -15,6 +15,13 @@ Each level carries its diagonal (lumped) weight vector and, alongside it,
 the consistent mass matrix for L2 projection and for the operators that
 need it.  Matrices are rescaled by h^{-d} so that their entries are
 mesh-size free.
+
+The L2 projection follows the geometry's structure.  On the interval the
+mass matrices are circulant and the restriction is a smoothing followed
+by a decimation, so the projection is one rfft, a two-term combination of
+modes with weights cached per level, and one irfft.  On the square it is
+a sparse restriction of the mass-weighted field and a solve with the
+factorized coarse mass matrix.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -108,6 +116,28 @@ class GridLevel:
     @cached_property
     def _mass_lu(self):
         return splu(self.mass_matrix.tocsc())
+
+    @cached_property
+    def _projection_weights(self):
+        """(alpha, beta): the Fourier weights of l2_project from this
+        periodic level to the one with n_c = n_cells / 2 cells.
+
+        R = J^T / 2 smooths by [1/4, 1/2, 1/4] and keeps the even nodes, so
+        coarse mode k gathers fine modes k and k + n_c, and M_c^{-1}
+        divides by the coarse mass symbol.  With the P1 mass symbol
+        m(theta) = (2 + cos theta)/3, m_f(k) = m(2 pi k / n_f) and
+        m_c(k) = m(2 pi k / n_c), for k = 0..n_c//2:
+        alpha_k = (1 + cos(pi k / n_c)) m_f(k) / (4 m_c(k)) and
+        beta_k = (1 - cos(pi k / n_c)) m_f(k + n_c) / (4 m_c(k)).
+        """
+        nc = self.n_cells // 2
+        # theta = pi k / n_c is the fine angle of mode k; the 3s of the
+        # three mass symbols cancel
+        cos = np.cos((np.pi / nc) * np.arange(nc // 2 + 1))
+        m_c = 4.0 * (1.0 + 2.0 * cos * cos)  # 4 (2 + cos 2 theta)
+        alpha = (1.0 + cos) * (2.0 + cos) / m_c
+        beta = (1.0 - cos) * (2.0 - cos) / m_c  # m(theta + pi) = (2 - cos theta)/3
+        return alpha, beta
 
 
 @dataclass(frozen=True)
@@ -202,16 +232,31 @@ def restrict(hierarchy, r):
 def l2_project(hierarchy, u):
     """L2-orthogonal projection onto the next coarser space.
 
-    Computes M_c^{-1} R (M_f u) with the precomputed exact factorization of
-    the coarse mass matrix, so the projection is exact to roundoff.  The
-    values may be an n_dof x k block, whose columns are projected
-    independently.
+    Pi u = M_c^{-1} R (M_f u), exact to roundoff.  The values may be an
+    n_dof x k block, whose columns are projected independently.
+
+    On the interval every factor is circulant or a decimation, so
+    Pi u = irfft(alpha_k u_k + beta_k conj(u_{n_c - k}), n_c) for
+    k <= n_c/2, with u_k the rfft modes of u (see
+    GridLevel._projection_weights).  On the square R M_f u is formed
+    sparsely and solved with the factorized coarse mass matrix.
     """
     i = u.level_index
     if i < 1:
         raise ValueError("cannot project from the coarsest level")
     fine = hierarchy.levels[i]
     coarse = hierarchy.levels[i - 1]
+    if fine.kind == KIND_PERIODIC:
+        nc = coarse.n_cells
+        alpha, beta = fine._projection_weights
+        if u.values.ndim == 2:
+            alpha, beta = alpha[:, None], beta[:, None]
+        modes = scipy.fft.rfft(u.values, axis=0)
+        # modes n_c - k for k = 0..n_c//2, the aliases of modes n_c + k
+        v = np.conjugate(modes[nc - nc // 2: nc + 1][::-1])
+        v *= beta
+        v += alpha * modes[: nc // 2 + 1]
+        return NodalField(i - 1, scipy.fft.irfft(v, nc, axis=0, overwrite_x=True))
     rhs = restrict(hierarchy, NodalField(i, fine.mass_matrix @ u.values))
     return NodalField(i - 1, coarse._mass_lu.solve(rhs.values))
 

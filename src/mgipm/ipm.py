@@ -243,19 +243,29 @@ def step_lengths(state, du, dv1, dv2, lo, hi, tau):
     scaled by tau.  The dual length is joint over both multipliers.
     """
     u, v1, v2, lov, hiv = _values(state, lo, hi)
-    du = np.asarray(du, dtype=float)
-    ap = min(_max_step(u - lov, du), _max_step(hiv - u, -du))
-    ad = min(_max_step(v1, np.asarray(dv1, dtype=float)),
-             _max_step(v2, np.asarray(dv2, dtype=float)))
+    du, dv1, dv2 = (np.asarray(d, dtype=float) for d in (du, dv1, dv2))
+    ap = min(_max_step(u, du, du < 0.0, lov), _max_step(u, du, du > 0.0, hiv))
+    ad = min(_max_step(v1, dv1, dv1 < 0.0), _max_step(v2, dv2, dv2 < 0.0))
     alpha_p = 1.0 if ap > 1.0 else tau * ap
     alpha_d = 1.0 if ad > 1.0 else tau * ad
     return alpha_p, alpha_d
 
 
-def _max_step(x, dx):
-    """Largest alpha with x + alpha dx >= 0 nodewise, for x > 0 (inf if none)."""
-    neg = dx < 0.0
-    return (x[neg] / -dx[neg]).min(initial=np.inf)
+def _max_step(x, dx, toward, bound=None):
+    """Largest alpha with x + alpha dx not past bound (0 if None) at the
+    nodes where toward holds, i.e. where dx moves x toward the bound; inf
+    if there are none.
+
+    The nodes are selected before anything is subtracted, so no temporary
+    is longer than the selection.
+    """
+    gap = x[toward]
+    if bound is None:
+        np.negative(gap, out=gap)
+    else:
+        np.subtract(bound[toward], gap, out=gap)
+    gap /= dx[toward]
+    return gap.min(initial=np.inf)
 
 
 def _inner_solver(prob, lam, opts):

@@ -16,11 +16,16 @@ partial DFT (a four-step split of the DFT, pruned to the band): with
 n = B L and u viewed as B x L, one real GEMM with a B x 2(kmax+1) cos/sin
 table gives every kept mode's B-point sum down each column, and one
 twiddle sum per mode over the columns gives its coefficient.  The way
-back scales by the symbol, writes the back-twiddled modes into the same
-buffer and takes one GEMM with the table.  No mode aliases, so any
-divisor B works; L is the largest divisor up to sqrt(n).  A wide band, or
-an n whose split tables would be large (n prime, or twice a prime),
-keeps the plain length-n round trip with the symbol cut at kmax.
+back scales by the symbol, multiplies the modes by the back-twiddles and
+takes one GEMM with the table.  No mode aliases, so any divisor B works;
+L is the largest divisor up to sqrt(n).  A wide band, or an n whose split
+tables would be large (n prime, or twice a prime), keeps the plain
+length-n round trip with the symbol cut at kmax.
+
+The same two halves, restricted to the modes of K^T K above roundoff,
+give F^T y and F z for the real Fourier factor F of K^T K = F F^T, and
+F^T diag(w) F has a closed form in the rfft of w.  The coarse Woodbury
+inverse uses these three and never stores the n x r factor.
 """
 
 from __future__ import annotations
@@ -71,6 +76,21 @@ class ForwardOperator:
         u = np.asarray(u, dtype=float)
         self.matvec_counter += u.shape[1] if u.ndim == 2 else 1
         return fn(u)
+
+    # the Woodbury coarse inverse reads K^T K = F F^T only through these
+    # three; an operator with Fourier structure computes them without F
+    def normal_project(self, y):
+        """F^T y for an n-vector or an n x k block; counts no applies."""
+        return self.normal_factor.T @ y
+
+    def normal_expand(self, z):
+        """F z for an r-vector or an r x k block; counts no applies."""
+        return self.normal_factor @ z
+
+    def normal_gram(self, w):
+        """The r x r matrix F^T diag(w) F of an n-vector w."""
+        f = self.normal_factor
+        return f.T @ (w[:, None] * f)
 
     @cached_property
     def normal_matrix(self):
@@ -165,18 +185,88 @@ class ParabolicOperator(ForwardOperator):
         expansion has a constant column, a cos/sin pair per frequency
         0 < k < n/2 and, for even n, a Nyquist column.  Modes at or below
         eps * max|symbol|^2 are dropped, which changes K^T K by at most that
-        much.  Read-only.
+        much.  The solver never forms F: normal_project, normal_expand and
+        normal_gram give what the coarse inverse needs from the band.
+        Read-only.
         """
         n = self.level.n_dof
-        lam = np.abs(self._band[0]) ** 2
-        keep = np.flatnonzero(lam > _EPS * lam.max())
-        paired = (keep > 0) & (2 * keep < n)
-        scale = np.sqrt(np.where(paired, 2.0, 1.0) * lam[keep] / n)
+        keep, paired, scale, _ = self._normal_modes
         # integer phases keep the angles exact before the one rounding
         angle = (2.0 * np.pi / n) * (np.outer(np.arange(n), keep) % n)
         f = np.hstack([np.cos(angle) * scale, np.sin(angle[:, paired]) * scale[paired]])
         f.flags.writeable = False
         return f
+
+    @cached_property
+    def _normal_modes(self):
+        """(keep, paired, scale, amp): the columns of normal_factor.
+
+        keep lists the modes k with |symbol_k|^2 > eps max|symbol|^2, each a
+        cosine column; paired marks those with a sine partner (0 < k < n/2).
+        Column scale is sqrt(c_k |symbol_k|^2 / n), with c_k = 2 for a pair
+        and 1 otherwise, and amp = n scale / c_k is the coefficient of mode k
+        in the rfft convention that puts that column back together.
+        """
+        n = self.level.n_dof
+        lam = np.abs(self._band[0]) ** 2
+        keep = np.flatnonzero(lam > _EPS * lam.max())
+        paired = (keep > 0) & (2 * keep < n)
+        c = np.where(paired, 2.0, 1.0)
+        scale = np.sqrt(c * lam[keep] / n)
+        return keep, paired, scale, scale * (n / c)
+
+    def normal_project(self, y):
+        """F^T y from the kept modes of y: scale Re y_k, then -scale Im y_k
+        on the pairs."""
+        keep, paired, scale, _ = self._normal_modes
+        if y.ndim == 2:
+            scale = scale[:, None]
+        modes = self._forward(y)[keep]
+        sine = modes[paired].imag
+        sine *= -scale[paired]
+        modes = modes.real * scale
+        return np.concatenate([modes, sine])
+
+    def normal_expand(self, z):
+        """F z as the real signal of modes amp (z_cos - i z_sin)."""
+        keep, paired, _, amp = self._normal_modes
+        n = self.level.n_dof
+        # _back takes the shape _forward gives
+        split = self._band[1] is not None and z.ndim == 1
+        rows = self._band[0].size if split else n // 2 + 1
+        if z.ndim == 2:
+            amp = amp[:, None]
+        v = np.zeros((rows,) + z.shape[1:], dtype=complex)
+        v.real[keep] = z[: keep.size] * amp
+        v.imag[keep[paired]] = z[keep.size:] * -amp[paired]
+        return self._back(v, n)
+
+    def normal_gram(self, w):
+        """F^T diag(w) F in closed form from one rfft of w.
+
+        Column a of F is Re(phi_a s_a e^{2 pi i k_a j / n}), phi_a = 1 on a
+        cosine and -i on a sine column, s_a its scale.  With
+        w_hat(m) = sum_j w_j e^{-2 pi i j m / n}, entry (a, b) is
+        (1/2) s_a s_b Re[phi_a phi_b conj w_hat(k_a + k_b)
+        + phi_a conj(phi_b) conj w_hat(k_a - k_b)].
+        """
+        keep, paired, scale, _ = self._normal_modes
+        n = self.level.n_dof
+        k = np.concatenate([keep, keep[paired]])
+        s = np.concatenate([scale, scale[paired]])
+        phi = np.where(np.arange(k.size) < keep.size, 1.0, -1.0j)
+        w_hat = scipy.fft.rfft(w)
+
+        def conj_w_hat(m):
+            # w is real: w_hat(-m) = w_hat(n - m) = conj w_hat(m)
+            m = m % n
+            upper = 2 * m > n
+            out = w_hat[np.where(upper, n - m, m)]
+            return np.where(upper, out, np.conj(out))
+
+        gram = np.outer(phi, phi) * conj_w_hat(k[:, None] + k)
+        gram += np.outer(phi, np.conj(phi)) * conj_w_hat(k[:, None] - k)
+        return 0.5 * np.outer(s, s) * gram.real
 
     @cached_property
     def _band(self):
@@ -185,12 +275,13 @@ class ParabolicOperator(ForwardOperator):
         symbol[k] is the eigenvalue of K on mode k for k <= kmax, the last
         mode with |symbol| > eps max|symbol|.  split is None where the apply
         is the plain length-n round trip.  Otherwise it is (table, twiddle,
-        weight) for n = B L, L the largest divisor of n up to sqrt(n):
+        back, weight) for n = B L, L the largest divisor of n up to sqrt(n):
         table[b, 2k] = cos(2 pi k b / B) and table[b, 2k + 1] =
-        -sin(2 pi k b / B), twiddle[l, k] = exp(-2 pi i k l / n), and
-        weight[k] the real output's weight of mode k: 1/n for k = 0, which
-        has no conjugate partner, and 2/n for the others (a split keeps
-        kmax + 1 <= sqrt(n), so the Nyquist mode is never among them).
+        -sin(2 pi k b / B), twiddle[l, k] = exp(-2 pi i k l / n), back its
+        conjugate, and weight[k] the real output's weight of mode k: 1/n for
+        k = 0, which has no conjugate partner, and 2/n for the others (a
+        split keeps kmax + 1 <= sqrt(n), so the Nyquist mode is never among
+        them).
         """
         n = self.level.n_dof
         # eigenvalues of a circulant with first row r are sum_m r[m] w^{mk},
@@ -223,7 +314,7 @@ class ParabolicOperator(ForwardOperator):
         angle = (2.0 * np.pi / n) * (np.outer(np.arange(stride), k) % n)
         twiddle = np.cos(angle) - 1j * np.sin(angle)
         weight = np.where(k == 0, 1.0, 2.0) / n
-        return symbol, (table, twiddle, weight)
+        return symbol, (table, twiddle, np.conj(twiddle), weight)
 
     def _apply(self, u):
         return self._filter(self._band[0], u)
@@ -232,16 +323,14 @@ class ParabolicOperator(ForwardOperator):
         return self._filter(np.conj(self._band[0]), u)
 
     def _filter(self, symbol, u):
-        split = self._band[1]
-        if split is None:
+        if self._band[1] is None:
             # the modes past kmax are cut.  symbol goes first: numpy rounds
             # a complex product by operand order, and this order gives a
             # full band the bits of irfft(s * rfft(u))
-            v = scipy.fft.rfft(u, axis=0)
+            v = self._forward(u)
             head = v[: symbol.shape[0]]
             np.multiply(symbol if u.ndim == 1 else symbol[:, None], head, out=head)
-            v[head.shape[0]:] = 0.0
-            return scipy.fft.irfft(v, u.shape[0], axis=0, overwrite_x=True)
+            return self._back(v, u.shape[0])
         if u.ndim == 2:
             # one column at a time: a block's columns get the bits of single
             # applies, and no solve applies narrow-band blocks
@@ -249,25 +338,46 @@ class ParabolicOperator(ForwardOperator):
             for j in range(u.shape[1]):
                 y[:, j] = self._filter(symbol, u[:, j])
             return y
-        table, twiddle, weight = split
+        coef = self._forward(u)
+        coef *= symbol
+        return self._back(coef, u.shape[0])
+
+    def _forward(self, u):
+        """Forward half of the apply: the modes of u along axis 0, in the
+        rfft convention (sum_j u_j e^{-2 pi i j k / n}).
+
+        Rows 0..kmax are the kept modes.  A split vector gets those rows
+        only; the plain path and every block get all n//2 + 1 rows.
+        """
+        split = self._band[1]
+        if split is None or u.ndim == 2:
+            return scipy.fft.rfft(u, axis=0)
+        table, twiddle, _, _ = split
         # entry (b, l) of x is u[b L + l].  Column l's B-point sums for the
         # kept modes come out of one GEMM as L x (kmax + 1) complex numbers;
         # times twiddle and summed over l they are the modes of u
         x = u.reshape(table.shape[0], -1)
         r = (x.T @ table).view(complex)
         r *= twiddle
-        coef = r.sum(axis=0)
-        coef *= symbol
-        coef *= weight
-        # the way back: mode k of K u times the back-twiddles, written into
-        # the same buffer; one GEMM with the table sums the real parts.
-        # OpenBLAS takes a C-ordered copy of the buffer's transpose about
-        # 5 us faster at n = 16384 than the transposed view itself
-        np.conjugate(twiddle, out=r)
-        r *= coef
+        return r.sum(axis=0)
+
+    def _back(self, v, n):
+        """Back half: the real length-n signal whose rfft modes are the
+        rows of v up to kmax, and zero above.  Takes what _forward returns
+        for the same shape, and overwrites it."""
+        split = self._band[1]
+        if split is None or v.ndim == 2:
+            v[self._band[0].shape[0]:] = 0.0
+            return scipy.fft.irfft(v, n, axis=0, overwrite_x=True)
+        table, _, back, weight = split
+        v *= weight
+        # mode k times the back-twiddles; one GEMM with the table sums the
+        # real parts.  OpenBLAS takes a C-ordered copy of the buffer's
+        # transpose about 5 us faster at n = 16384 than the transposed view
+        r = back * v
         w = np.ascontiguousarray(r.view(float).T)
         del r  # freed before the output is allocated: the peak is w and y
-        return (table @ w).reshape(u.shape)
+        return (table @ w).reshape(n)
 
 
 def parabolic_build(level, config=None, level_index=0):

@@ -10,6 +10,13 @@ smooth component of a residual is solved coarsely, the rough remainder is
 left untouched (G acts nearly as the identity there), and intermediate
 levels sharpen the map with one Newton step 2M - M G M, applied
 procedurally as two recursive corrections.
+
+The coarsest inverse follows the operator's structure.  Where K^T K has
+a factor F (K^T K = F F^T, rank r), G = I + B B^T with B = D_{1/p} F is
+inverted by the Woodbury identity through the operator's normal_project
+(F^T y), normal_expand (F z) and normal_gram (F^T diag(w) F): only an
+r x r Cholesky factor is stored, never the n0 x r factor.  Otherwise a
+small coarsest G is LU-factored densely, and a large one is solved by CG.
 """
 
 from __future__ import annotations
@@ -88,9 +95,12 @@ def build_preconditioner(hierarchy, operators, lam, beta, coarsest_solver="auto"
 
     The coarse inverse is fixed here, from the coarsest operator's
     structure.  Under "auto" it is exact to roundoff where that is cheap.
-    When the operator has a normal_factor F (K^T K = F F^T, rank r), it is
-    the Woodbury identity on G = I + B B^T with B = D_{1/p} F: a Cholesky
-    factor of I_r + B^T B per call, O(n0 r^2), and O(n0 r) per solve.
+    When the operator's class has a normal_factor F (K^T K = F F^T, rank
+    r), it is the Woodbury identity on G = I + B B^T with B = D_{1/p} F:
+    per call, a Cholesky factor of I_r + normal_gram(1/p^2) = I_r + B^T B;
+    per solve, r - normal_expand(core^{-1} normal_project(r/p))/p.  F
+    itself is not built, and nothing n0 x r is stored (the parabolic
+    operator computes all three from its Fourier band).
     Otherwise, up to DENSE_COARSE_LIMIT coarsest dof, G is assembled from
     the operator's normal_matrix (K^T K, materialized once per operator
     since it does not depend on lambda) and LU-factored.  Above that, and
@@ -119,13 +129,19 @@ def build_preconditioner(hierarchy, operators, lam, beta, coarsest_solver="auto"
 
     sys0 = systems[0]
     if coarsest_solver == "auto" and (
-        sys0.operator.normal_factor is not None
+        _has_normal_factor(sys0.operator)
         or hierarchy.levels[0].n_dof <= DENSE_COARSE_LIMIT
     ):
         inverse = _exact_inverse(sys0)
     else:
         inverse = partial(_coarse_cg, sys0)
     return MgPreconditioner(hierarchy, systems, inverse)
+
+
+def _has_normal_factor(op):
+    """Whether K^T K = F F^T has a factor, read from the operator's class:
+    the instance attribute would build F."""
+    return type(op).normal_factor is not None
 
 
 def _coarse_cg(sys, r):
@@ -142,25 +158,37 @@ def _coarse_cg(sys, r):
 
 def _exact_inverse(sys):
     """r -> G^{-1} r for one level, exact to roundoff (see build_preconditioner)."""
-    factor = sys.operator.normal_factor
-    if factor is not None:
-        p = sys.p
-        b = factor / p[:, None]
-        core = sla.cho_factor(np.eye(b.shape[1]) + b.T @ b)
+    # the solves call LAPACK directly: cho_solve and lu_solve add a
+    # finiteness scan and shape checks worth about 8 us a call, and a
+    # non-finite r ends as a non-finite result, which the Krylov solvers
+    # stop on
+    op = sys.operator
+    p = sys.p
+    if _has_normal_factor(op):
+        # G = I + B B^T with B = D_{1/p} F, and B^T B = F^T diag(1/p^2) F:
+        # only r x r numbers are stored
+        core = op.normal_gram(1.0 / (p * p))
+        if not core.size:
+            return np.copy  # K^T K = 0, so G = I (and LAPACK takes no 0 x 0)
+        core[np.diag_indices_from(core)] += 1.0
+        core, lower = sla.cho_factor(core, overwrite_a=True)
+        potrs, = sla.get_lapack_funcs(("potrs",), (core,))
 
-        # scales by 1/p on the fly, so no n0 x r copy of the factor is kept
         def solve(r):
             q = p if r.ndim == 1 else p[:, None]
-            return r - (factor @ sla.cho_solve(core, factor.T @ (r / q))) / q
+            z = potrs(core, op.normal_project(r / q), lower=lower)[0]
+            return r - op.normal_expand(z) / q
 
         return solve
     # one Fortran-ordered array, scaled and LU-factored in place
-    n = sys.p.size
-    dinv = 1.0 / sys.p
-    G = np.multiply(sys.operator.normal_matrix, dinv[:, None], order="F")
+    n = p.size
+    dinv = 1.0 / p
+    G = np.multiply(op.normal_matrix, dinv[:, None], order="F")
     G *= dinv[None, :]
     G[np.arange(n), np.arange(n)] += 1.0
-    return partial(sla.lu_solve, sla.lu_factor(G, overwrite_a=True))
+    lu, piv = sla.lu_factor(G, overwrite_a=True)
+    getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
+    return lambda r: getrs(lu, piv, r)[0]
 
 
 def mg_apply(mg, r):

@@ -153,6 +153,22 @@ class TestEmitCsv:
         assert rows[0] == ["3", "true", ""]
         assert rows[1] == ["4", "false", "2.5"]
 
+    def test_literal_bytes_of_every_emitted_type(self, tmp_path):
+        path = str(tmp_path / "types.csv")
+        emit_csv(
+            ["none", "nan", "flag", "int", "np_int", "real", "np_real", "text"],
+            [(None, math.nan, True, 7, np.int64(-3), 0.1, np.float64(1 / 3), "x"),
+             (None, np.float64("nan"), False, 0, np.int64(2**40), 1e-300,
+              np.float64(-2.5), "elliptic-2d")],
+            path,
+        )
+        with open(path, "rb") as fh:
+            assert fh.read() == (
+                b"none,nan,flag,int,np_int,real,np_real,text\n"
+                b",,true,7,-3,0.10000000000000001,0.33333333333333331,x\n"
+                b",,false,0,1099511627776,1e-300,-2.5,elliptic-2d\n"
+            )
+
 
 @pytest.fixture(scope="module")
 def single_level_run(tmp_path_factory):

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.sparse.linalg import spsolve
 
 from conftest import (
     mass_matrix_dirichlet,
@@ -268,6 +270,20 @@ class TestL2Project:
         out = l2_project(hier, NodalField(1, block)).values
         cols = [l2_project(hier, NodalField(1, c)).values for c in block.T]
         assert_array_equal(out, np.column_stack(cols))
+
+    @pytest.mark.parametrize("n0", [4, 5, 8, 9, 64])
+    def test_periodic_matches_the_assembled_projection(self, n0, rng):
+        # Pi = M_c^{-1} J^T M_f with the element-assembled mass matrices;
+        # odd and even coarse counts, vectors and blocks
+        hier = build_hierarchy("periodic-interval", n0, 2)
+        M_c = sp.csc_matrix(mass_matrix_periodic(n0))
+        R = prolong_matrix_periodic(n0).T
+        M_f = mass_matrix_periodic(2 * n0)
+        for u in (rng.standard_normal(2 * n0), rng.standard_normal((2 * n0, 3))):
+            ref = spsolve(M_c, R @ (M_f @ u)).reshape(n0, *u.shape[1:])
+            got = l2_project(hier, NodalField(1, u)).values
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_periodic_constant_survives(self):
         hier = build_hierarchy("periodic-interval", 8, 2)

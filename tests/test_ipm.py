@@ -318,6 +318,20 @@ class TestStepLengths:
             expected = 1.0 if amax > 1.0 else tau * amax
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
+    def test_ratio_tests_hold_no_full_length_temporary(self, rng):
+        # the ratio tests select their nodes before subtracting, so no
+        # temporary is n long: 1.13 n-vectors measured at n = 16384 with
+        # about half the nodes moving toward each bound, where subtracting
+        # first (hi - u and -du both alive) peaked at 3.6
+        n = 16384
+        u = rng.uniform(0.1, 0.9, n)
+        state = make_state(u, np.ones(n), np.ones(n))
+        du, dv1, dv2 = rng.standard_normal((3, n))
+        lo, hi = np.zeros(n), np.ones(n)
+        args = (state, du, dv1, dv2, lo, hi, 0.99995)
+        step_lengths(*args)
+        assert peak_vectors(lambda: step_lengths(*args), n) <= 1.5
+
 
 class TestSymmetrizedHandle:
     """G is symmetric on uniform grids: CG runs on plain g_apply calls."""
@@ -440,6 +454,14 @@ class TestSolve:
             ipm_mod.build_preconditioner(hier, chain, NodalField(2, np.full(256, 3.0)), 1e-3)
             assert coarse.matvec_counter == applies
 
+    def test_coarse_normal_factor_is_never_built(self):
+        # the Woodbury coarse inverse reads the band, not the n0 x r factor,
+        # and no other level's factor is wanted either
+        prob = warm_parabolic_problem(1024, 3)
+        assert solve(prob).converged
+        for op in prob.operators:
+            assert "normal_factor" not in op.__dict__
+
     def test_preconditioner_built_once_per_outer(self, monkeypatch):
         hier = build_hierarchy("periodic-interval", 128, 2)
         ops = [parabolic_build(lv, ParabolicConfig(), level_index=i)
@@ -486,9 +508,11 @@ class TestWorkingSet:
     The bounds hold only if each outer iteration's temporaries are freed
     after their last use and the Krylov and G updates run in place; with
     stale temporaries the two solves below peak near 32 and 53 vectors.
+    The 3-level solve peaked at 29.7 while the coarse Woodbury inverse
+    stored its n0 x r factor, and at 23.5-23.8 with the factor-free one.
     """
 
-    @pytest.mark.parametrize("levels, bound", [(1, 20.0), (3, 32.0)])
+    @pytest.mark.parametrize("levels, bound", [(1, 20.0), (3, 26.0)])
     def test_solve_peak_stays_within_bound(self, levels, bound):
         prob = warm_parabolic_problem(4096, levels)
         results = []

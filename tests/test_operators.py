@@ -144,6 +144,61 @@ class TestNormalFactor:
         assert_array_equal(F @ F.T, op.normal_matrix)
 
 
+class TestNormalMembers:
+    """F^T y, F z and F^T diag(w) F without F, against the explicit factor.
+
+    The parabolic operator computes all three from its Fourier band; the
+    oracle is the materialized normal_factor (checked against K^T K
+    above).  The cases take the split path (1024, 1030 = 103 x 10), the
+    plain round trip (64, 1021 prime, a = 1e-5 with 457 columns), and a
+    full band whose factor has the Nyquist column (16 cells at c1 = 2).
+    """
+
+    @pytest.mark.parametrize(
+        "n, config, split",
+        [
+            (64, ParabolicConfig(), False),
+            (1024, ParabolicConfig(), True),
+            (1030, ParabolicConfig(), True),
+            (1021, ParabolicConfig(), False),
+            (16, ParabolicConfig(c1=2.0), False),
+            (1000, ParabolicConfig(a=1e-5), False),
+        ],
+    )
+    def test_match_the_explicit_factor(self, n, config, split, rng):
+        level = build_hierarchy("periodic-interval", n, 1).finest
+        op = parabolic_build(level, config)
+        assert (op._band[1] is not None) == split
+        F = op.normal_factor
+        r = F.shape[1]
+        if config.c1 == 2.0:
+            # every mode is kept, the Nyquist mode with one column
+            assert r == n
+        assert op.matvec_counter == 0
+
+        def gap(got, ref):
+            assert got.shape == ref.shape
+            return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+        for cols in ((), (3,)):
+            y = rng.standard_normal((n, *cols))
+            assert gap(op.normal_project(y), F.T @ y) <= 1e-13
+            z = rng.standard_normal((r, *cols))
+            assert gap(op.normal_expand(z), F @ z) <= 1e-13
+        # an uneven weight, as 1/p^2 is: both parts of w_hat matter
+        w = 1.0 + rng.random(n) + np.sin(2 * np.pi * np.arange(n) / n)
+        assert gap(op.normal_gram(w), F.T @ (w[:, None] * F)) <= 1e-13
+        assert op.matvec_counter == 0
+
+    def test_zero_operator_works_at_rank_zero(self, rng):
+        level = build_hierarchy("periodic-interval", 16, 1).finest
+        op = ZeroOperator(0, level)
+        assert op.normal_project(rng.standard_normal(16)).shape == (0,)
+        assert op.normal_project(rng.standard_normal((16, 2))).shape == (0, 2)
+        assert_array_equal(op.normal_expand(np.zeros(0)), np.zeros(16))
+        assert op.normal_gram(np.ones(16)).shape == (0, 0)
+
+
 class TestNormalMatrix:
     def test_normal_matrix_peak_is_one_matrix(self):
         # the elliptic coarse K^T K of the 2D two-level runs (225 dof) is

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import DenseOperator, lemma_a2_check
 from mgipm.grid import NodalField, build_hierarchy, l2_project, node_coordinates, prolong
-from mgipm.operators import ParabolicConfig, ZeroOperator, parabolic_build
+from mgipm.krylov import cgs
+from mgipm.operators import ParabolicConfig, ZeroOperator, elliptic_build, parabolic_build
 from mgipm.precond import build_preconditioner, g_apply, make_scaled_system, mg_apply
 
 
@@ -166,22 +167,52 @@ class TestBuildPreconditioner:
         assert np.linalg.norm(out - ref) <= 1e-9 * np.linalg.norm(out)
 
     def test_low_rank_coarse_solve_is_exact(self, rng):
-        hier = build_hierarchy("periodic-interval", 64, 2)
-        ops = parabolic_chain(hier)
-        mg = build_preconditioner(hier, ops, sine_lambda(hier, 1e-3), beta=1e-3)
-        r = rng.standard_normal(64)
-        z = mg.coarse_solve(r)
-        # the factor path materializes nothing: no level-0 applies so far
-        assert ops[0].matvec_counter == 0
-        G = g_apply(mg.systems[0], np.eye(64))
-        ref = np.linalg.solve(G, r)
-        assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
-        # the diagnostics pass n0 x k blocks through the same solve
-        R = rng.standard_normal((64, 3))
-        Z = mg.coarse_solve(R)
-        ref = np.linalg.solve(G, R)
-        assert Z.shape == R.shape
-        assert np.linalg.norm(Z - ref) <= 1e-12 * np.linalg.norm(ref)
+        # 64 coarse cells take the plain round trip, 1030 = 103 x 10 the split
+        for n0 in (64, 1030):
+            hier = build_hierarchy("periodic-interval", n0, 2)
+            ops = parabolic_chain(hier)
+            mg = build_preconditioner(hier, ops, sine_lambda(hier, 1e-3), beta=1e-3)
+            r = rng.standard_normal(n0)
+            z = mg.coarse_solve(r)
+            # the factor path materializes nothing: no level-0 applies so
+            # far, and no n0 x r factor
+            assert ops[0].matvec_counter == 0
+            assert "normal_factor" not in ops[0].__dict__
+            G = g_apply(mg.systems[0], np.eye(n0))
+            ref = np.linalg.solve(G, r)
+            assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+            # the diagnostics pass n0 x k blocks through the same solve
+            R = rng.standard_normal((n0, 3))
+            Z = mg.coarse_solve(R)
+            ref = np.linalg.solve(G, R)
+            assert Z.shape == R.shape
+            assert np.linalg.norm(Z - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_zero_operator_coarse_solve_is_the_identity(self, rng):
+        # K^T K = 0 has the rank-0 factor, and G = I
+        hier = build_hierarchy("periodic-interval", 16, 2)
+        ops = [ZeroOperator(i, lv) for i, lv in enumerate(hier.levels)]
+        mg = build_preconditioner(hier, ops, NodalField(1, np.full(32, 2.0)), 1.0)
+        for r in (rng.standard_normal(16), rng.standard_normal((16, 3))):
+            z = mg.coarse_solve(r)
+            assert z is not r
+            assert_array_equal(z, r)
+
+    def test_dense_coarse_solve_passes_nan_on(self, rng):
+        # the LU solve does not scan for non-finite input: a NaN residual
+        # gives a NaN correction, and CGS stops on the NaN residual
+        hier = build_hierarchy("dirichlet-square", 8, 2)
+        ops = [elliptic_build(lv, level_index=i) for i, lv in enumerate(hier.levels)]
+        mg = build_preconditioner(hier, ops, NodalField(1, np.full(225, 1.0)), 1.0)
+        r = rng.standard_normal(49)
+        r[3] = np.nan
+        assert np.isnan(mg.coarse_solve(r)).all()
+        b = rng.standard_normal(225)
+        b[7] = np.nan
+        _, rep = cgs(lambda v: g_apply(mg.systems[1], v), lambda v: mg_apply(mg, v), b)
+        assert not rep.converged
+        assert rep.iterations <= 1
+        assert not np.isfinite(rep.final_relative_residual)
 
     def test_coarse_solve_without_factor_is_exact(self, rng):
         hier = build_hierarchy("periodic-interval", 64, 2)
