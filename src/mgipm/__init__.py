@@ -6,7 +6,6 @@ from mgipm.grid import (
     NodalField,
     build_hierarchy,
     prolong,
-    restrict,
     l2_project,
     coarsen_lambda,
     discrete_w2inf,

@@ -316,7 +316,9 @@ def run_spectral_table(cfg):
 
     Each cell is a k x k eigenproblem (diagnostics.two_grid_cell), with k
     the summed ranks of the two levels' normal factors: 59, 74, 98 and
-    146 at the default 1/h = 80, 160, 320 and 640.
+    146 at the default 1/h = 80, 160, 320 and 640.  A cell that fails
+    numerically (a coarse core with no Cholesky factor, a spectrum off the
+    right half line) raises RuntimeError, which main reports as a solver error.
     """
     op_cfg = _parabolic_config(cfg, c1_default=2.0)
     h_list = cfg.get("h_list", (1 / 80, 1 / 160, 1 / 320, 1 / 640))

@@ -7,7 +7,9 @@ N_h = S_h^{-1}.  No n x n matrix is formed: with G = I + B_1 B_1^T and
 range(S - I) inside J range(B_0) (B_i the scaled normal factors of the two
 levels, J the prolongation), S G - I maps into V = span[B_1, J B_0], so the
 spectrum is that of the k x k compression of S G to V plus n - k unit
-eigenvalues.  The headline quantity is the spectral distance surrogate
+eigenvalues.  An operator gives its factor only as the map z -> F z
+(normal_expand), so F is that map applied to the identity.  The headline
+quantity is the spectral distance surrogate
 d_h = max |ln Re(alpha)| over that spectrum, which contracts at a
 fourth-order rate per grid doubling once the profile driving lambda is
 resolved; the table builder below reports it together with the observed
@@ -60,17 +62,18 @@ def two_grid_cell(op_builder, lambda_rule, n_cells, beta):
     """Compression C of S G to the subspace where it differs from I.
 
     op_builder(level, level_index) supplies the forward operator per
-    level, each with a normal_factor F_i (K^T K = F_i F_i^T, rank r_i);
-    lambda_rule maps node coordinates to the beta-independent part of the
-    diagonal profile, so the fine grid uses lambda = rule(x) + beta and
-    the preconditioner moves it to the coarse grid by discarding fine
-    values (the coarse samples of the rule, bit for bit).  S is the
-    solver's two-grid map.
+    level, each with a factor F_i of K^T K = F_i F_i^T (normal_rank r_i,
+    not None); lambda_rule maps node coordinates to the beta-independent
+    part of the diagonal profile, so the fine grid uses
+    lambda = rule(x) + beta and the preconditioner moves it to the coarse
+    grid by discarding fine values (the coarse samples of the rule, bit
+    for bit).  S is the solver's two-grid map.
 
-    With B_i = F_i / p_i, G - I = B_1 B_1^T and S - I = J (G_0^{-1} - I) Pi
-    has its range in J range(B_0), so S G - I maps into
-    V = span[B_1, J B_0].  Q is an orthonormal basis of a space holding V
-    (reduced QR, k = min(n, r_1 + r_0) columns); S G leaves it invariant
+    With F_i = normal_expand(I_{r_i}) and B_i = F_i / p_i,
+    G - I = B_1 B_1^T and S - I = J (G_0^{-1} - I) Pi has its range in
+    J range(B_0), so S G - I maps into V = span[B_1, J B_0].  Q is an
+    orthonormal basis of a space holding V (reduced QR,
+    k = min(n, r_1 + r_0) columns); S G leaves it invariant
     and C = I + Q^T (S (G Q) - Q) is k x k.  The spectrum of S G is that of
     C plus n - k unit eigenvalues.  Costs 2k fine operator applies in one
     block call of g_apply on Q (one apply counted per column).
@@ -80,11 +83,13 @@ def two_grid_cell(op_builder, lambda_rule, n_cells, beta):
         raise ValueError(f"two-grid cell needs an even cell count, got {n_cells}")
     hier = build_hierarchy("periodic-interval", n_cells // 2, 2)
     ops = [op_builder(level, i) for i, level in enumerate(hier.levels)]
-    if any(op.normal_factor is None for op in ops):
-        raise ValueError("two-grid cell needs operators with a normal_factor")
+    if any(op.normal_rank is None for op in ops):
+        raise ValueError("two-grid cell needs operators with a normal_rank")
     rule = np.asarray(lambda_rule(node_coordinates(hier.finest)), dtype=float)
     mg = build_preconditioner(hier, ops, NodalField(1, rule + beta), beta)
-    b0, b1 = (sys.operator.normal_factor / sys.p[:, None] for sys in mg.systems)
+    b0, b1 = (op.normal_expand(np.eye(op.normal_rank)) for op in ops)
+    b0 /= mg.systems[0].p[:, None]
+    b1 /= mg.systems[1].p[:, None]
     jb0 = prolong(hier, NodalField(0, b0)).values
     q = np.linalg.qr(np.hstack([b1, jb0]))[0]
     # looked up on precond per call, so a wrapper installed there is seen
@@ -100,7 +105,10 @@ def _cell_spectrum(c):
     alpha = eigenvalues(c)
     re = alpha.real
     if np.any(re <= 0.0):
-        raise ValueError("generalized spectrum left the right half line")
+        # roundoff, not a bad argument: a solver failure
+        raise RuntimeError(
+            f"generalized spectrum left the right half line (min Re {re.min():.3e})"
+        )
     d = float(np.max(np.abs(np.log(re)), initial=0.0))
     imag_ratio = float(np.max(np.abs(alpha.imag) / np.abs(alpha), initial=0.0))
     return alpha, d, imag_ratio

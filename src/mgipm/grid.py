@@ -1,4 +1,4 @@
-"""Nested uniform grids, lumped weights, mass matrices, and intergrid transfer.
+"""Nested uniform grids, lumped weights and intergrid transfer.
 
 Two geometries are supported:
 
@@ -11,17 +11,16 @@ Two geometries are supported:
   ordered with the x index slow and the y index fast (C order of the
   (n-1, n-1) array).
 
-Each level carries its diagonal (lumped) weight vector and, alongside it,
-the consistent mass matrix for L2 projection and for the operators that
-need it.  Matrices are rescaled by h^{-d} so that their entries are
-mesh-size free.
-
-The L2 projection follows the geometry's structure.  On the interval the
-mass matrices are circulant and the restriction is a smoothing followed
-by a decimation, so the projection is one rfft, a two-term combination of
-modes with weights cached per level, and one irfft.  On the square it is
-a sparse restriction of the mass-weighted field and a solve with the
-factorized coarse mass matrix.
+Each level carries its diagonal (lumped) weight vector.  Transfers follow
+the geometry's structure, and only the square builds sparse matrices.  On
+the interval the interpolation is a two-point stencil, and the L2
+projection is one rfft, a two-term combination of modes with weights
+cached per level, and one irfft: its circulant mass matrices and the
+restriction appear only through their Fourier symbols.  On the square the
+interpolation is a sparse matrix J, and the projection restricts the
+mass-weighted field with 2^{-2} J^T and solves with the factorized coarse
+consistent mass matrix (rescaled by h^{-2}, so its entries are mesh-size
+free).
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "build_hierarchy",
     "node_coordinates",
     "prolong",
-    "restrict",
     "l2_project",
     "coarsen_lambda",
     "discrete_w2inf",
@@ -88,10 +86,6 @@ class GridLevel:
     n_cells: int
 
     @property
-    def dim(self):
-        return 1 if self.kind == KIND_PERIODIC else 2
-
-    @property
     def h(self):
         return 1.0 / self.n_cells
 
@@ -108,9 +102,11 @@ class GridLevel:
 
     @cached_property
     def mass_matrix(self):
-        """Rescaled consistent mass matrix (h^{-d} times the assembled one)."""
+        """Rescaled consistent mass matrix (h^{-2} times the assembled one)
+        of a square level.  The interval has none: its projection uses the
+        mass symbol (see _projection_weights)."""
         if self.kind == KIND_PERIODIC:
-            return _mass_periodic(self.n_cells)
+            raise ValueError("the periodic interval has no assembled mass matrix")
         return _mass_dirichlet(self.n_cells)
 
     @cached_property
@@ -156,22 +152,14 @@ class GridHierarchy:
 
     @cached_property
     def _prolongations(self):
-        # sparse interpolation J from level i to level i+1
-        out = []
-        for lv in self.levels[:-1]:
-            if lv.kind == KIND_PERIODIC:
-                out.append(_prolong_matrix_periodic(lv.n_cells))
-            else:
-                out.append(_prolong_matrix_dirichlet(lv.n_cells))
-        return tuple(out)
+        # sparse interpolation J from square level i to level i+1 (the
+        # interval uses its stencil)
+        return tuple(_prolong_matrix_dirichlet(lv.n_cells) for lv in self.levels[:-1])
 
     @cached_property
     def _restrictions(self):
-        # 2^{-d} J^T from level i+1 to level i, built once as CSR
-        return tuple(
-            (0.5 ** lv.dim * J.T).tocsr()
-            for lv, J in zip(self.levels[1:], self._prolongations)
-        )
+        # 2^{-2} J^T from level i+1 to level i, built once as CSR
+        return tuple((0.25 * J.T).tocsr() for J in self._prolongations)
 
 
 def build_hierarchy(kind, n0_cells, n_levels):
@@ -213,20 +201,25 @@ def prolong(hierarchy, u):
     including the midpoints of the cell diagonals) averages its two edge
     endpoints.  Square-boundary endpoints contribute zero.  The values may
     be an n_dof x k block, whose columns are transferred independently.
+
+    On the interval this is the stencil out[2i] = u_i and
+    out[2i+1] = (u_i + u_{i+1 mod n})/2, written into the output with no
+    other temporary; halving is exact, so it has the bits of the sparse
+    J u.  On the square it is the sparse J u.
     """
     i = u.level_index
     if i >= hierarchy.n_levels - 1:
         raise ValueError(f"cannot prolong from the finest level (index {i})")
-    J = hierarchy._prolongations[i]
-    return NodalField(i + 1, J @ u.values)
-
-
-def restrict(hierarchy, r):
-    """Adjoint transfer one level coarser, scaled by 2^{-d}."""
-    i = r.level_index
-    if i < 1:
-        raise ValueError("cannot restrict from the coarsest level")
-    return NodalField(i - 1, hierarchy._restrictions[i - 1] @ r.values)
+    if hierarchy.levels[i].kind != KIND_PERIODIC:
+        return NodalField(i + 1, hierarchy._prolongations[i] @ u.values)
+    v = u.values
+    out = np.empty((2 * v.shape[0],) + v.shape[1:])
+    out[0::2] = v
+    mid = out[1::2]
+    np.add(v[:-1], v[1:], out=mid[:-1])
+    np.add(v[-1:], v[:1], out=mid[-1:])
+    mid *= 0.5
+    return NodalField(i + 1, out)
 
 
 def l2_project(hierarchy, u):
@@ -238,8 +231,9 @@ def l2_project(hierarchy, u):
     On the interval every factor is circulant or a decimation, so
     Pi u = irfft(alpha_k u_k + beta_k conj(u_{n_c - k}), n_c) for
     k <= n_c/2, with u_k the rfft modes of u (see
-    GridLevel._projection_weights).  On the square R M_f u is formed
-    sparsely and solved with the factorized coarse mass matrix.
+    GridLevel._projection_weights).  On the square R M_f u, with
+    R = 2^{-2} J^T, is formed sparsely and solved with the factorized
+    coarse mass matrix.
     """
     i = u.level_index
     if i < 1:
@@ -257,8 +251,8 @@ def l2_project(hierarchy, u):
         v *= beta
         v += alpha * modes[: nc // 2 + 1]
         return NodalField(i - 1, scipy.fft.irfft(v, nc, axis=0, overwrite_x=True))
-    rhs = restrict(hierarchy, NodalField(i, fine.mass_matrix @ u.values))
-    return NodalField(i - 1, coarse._mass_lu.solve(rhs.values))
+    rhs = hierarchy._restrictions[i - 1] @ (fine.mass_matrix @ u.values)
+    return NodalField(i - 1, coarse._mass_lu.solve(rhs))
 
 
 def coarsen_lambda(hierarchy, lam):
@@ -307,19 +301,6 @@ def discrete_w2inf(level, g):
 # ---------------------------------------------------------------------------
 # matrix builders
 
-def _mass_periodic(n):
-    # rescaled circulant rows [1/6, 2/3, 1/6]; n >= 3 keeps the three
-    # columns of a row distinct, so no entries are summed
-    i = np.arange(n)
-    M = sp.coo_matrix(
-        (np.repeat([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0], n),
-         (np.tile(i, 3), np.concatenate([(i - 1) % n, i, (i + 1) % n]))),
-        shape=(n, n),
-    ).tocsr()
-    M.sort_indices()
-    return M
-
-
 def _mass_dirichlet(n):
     # rescaled stencil of the three-line triangulation: 1/2 on the diagonal,
     # 1/12 on the six coupled neighbors (E, W, N, S, NE, SW)
@@ -341,28 +322,6 @@ def _mass_dirichlet(n):
         shape=(m * m, m * m),
     )
     return M.tocsr()
-
-
-def _prolong_matrix_periodic(n):
-    # coarse n cells -> fine 2n cells; even fine nodes coincide, odd fine
-    # nodes average their two neighbors with wraparound
-    rows = []
-    cols = []
-    vals = []
-    i = np.arange(n)
-    rows.append(2 * i)
-    cols.append(i)
-    vals.append(np.ones(n))
-    rows.append(2 * i + 1)
-    cols.append(i)
-    vals.append(np.full(n, 0.5))
-    rows.append(2 * i + 1)
-    cols.append((i + 1) % n)
-    vals.append(np.full(n, 0.5))
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * n, n),
-    ).tocsr()
 
 
 def _prolong_matrix_dirichlet(n):

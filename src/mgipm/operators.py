@@ -24,8 +24,10 @@ length-n round trip with the symbol cut at kmax.
 
 The same two halves, restricted to the modes of K^T K above roundoff,
 give F^T y and F z for the real Fourier factor F of K^T K = F F^T, and
-F^T diag(w) F has a closed form in the rfft of w.  The coarse Woodbury
-inverse uses these three and never stores the n x r factor.
+F^T diag(w) F has a closed form in the rfft of w.  These three members
+(normal_project, normal_expand, normal_gram) and the rank r are all an
+operator says of F: the coarse Woodbury inverse uses them, and nothing
+forms the n x r factor.
 """
 
 from __future__ import annotations
@@ -52,11 +54,17 @@ _EPS = np.finfo(float).eps
 
 
 class ForwardOperator:
-    """Base class: counts every apply, one per column of the input."""
+    """Base class: counts every apply, one per column of the input.
 
-    # an operator whose K^T K has exact low-rank structure overrides this
-    # with an n_dof x r matrix F, K^T K = F F^T (see ParabolicOperator)
-    normal_factor = None
+    An operator whose K^T K = F F^T has an exact factor of rank r sets
+    normal_rank to r and gives the three normal_* members, which count no
+    applies: normal_project(y) = F^T y for an n-vector or n x k block,
+    normal_expand(z) = F z for an r-vector or r x k block, and
+    normal_gram(w) = F^T diag(w) F for an n-vector w (see ParabolicOperator
+    and ZeroOperator).  normal_rank None means there is no such factor.
+    """
+
+    normal_rank = None
 
     def __init__(self, level_index, level):
         self.level_index = level_index
@@ -76,21 +84,6 @@ class ForwardOperator:
         u = np.asarray(u, dtype=float)
         self.matvec_counter += u.shape[1] if u.ndim == 2 else 1
         return fn(u)
-
-    # the Woodbury coarse inverse reads K^T K = F F^T only through these
-    # three; an operator with Fourier structure computes them without F
-    def normal_project(self, y):
-        """F^T y for an n-vector or an n x k block; counts no applies."""
-        return self.normal_factor.T @ y
-
-    def normal_expand(self, z):
-        """F z for an r-vector or an r x k block; counts no applies."""
-        return self.normal_factor @ z
-
-    def normal_gram(self, w):
-        """The r x r matrix F^T diag(w) F of an n-vector w."""
-        f = self.normal_factor
-        return f.T @ (w[:, None] * f)
 
     @cached_property
     def normal_matrix(self):
@@ -113,14 +106,21 @@ class ForwardOperator:
 
 
 class ZeroOperator(ForwardOperator):
-    """K = 0; the control problem degenerates to a weighted projection."""
+    """K = 0; the control problem degenerates to a weighted projection.
 
-    @cached_property
-    def normal_factor(self):
-        """K^T K = 0 exactly: the empty n_dof x 0 factor.  Read-only."""
-        f = np.zeros((self.level.n_dof, 0))
-        f.flags.writeable = False
-        return f
+    K^T K = 0 has the exact factor of rank 0.
+    """
+
+    normal_rank = 0
+
+    def normal_project(self, y):
+        return np.zeros((0,) + y.shape[1:])
+
+    def normal_expand(self, z):
+        return np.zeros((self.level.n_dof,) + z.shape[1:])
+
+    def normal_gram(self, w):
+        return np.zeros((0, 0))
 
     def _apply(self, u):
         return np.zeros_like(u)
@@ -177,35 +177,25 @@ class ParabolicOperator(ForwardOperator):
         first_rows[1, -1] = -a / h + b / 2.0 + c * h / 6.0
         self._first_rows = first_rows
 
-    @cached_property
-    def normal_factor(self):
-        """n x r matrix F with K^T K = F F^T to roundoff; no operator applies.
-
-        K^T K is the circulant with eigenvalues |symbol|^2.  Its real Fourier
-        expansion has a constant column, a cos/sin pair per frequency
-        0 < k < n/2 and, for even n, a Nyquist column.  Modes at or below
-        eps * max|symbol|^2 are dropped, which changes K^T K by at most that
-        much.  The solver never forms F: normal_project, normal_expand and
-        normal_gram give what the coarse inverse needs from the band.
-        Read-only.
-        """
-        n = self.level.n_dof
-        keep, paired, scale, _ = self._normal_modes
-        # integer phases keep the angles exact before the one rounding
-        angle = (2.0 * np.pi / n) * (np.outer(np.arange(n), keep) % n)
-        f = np.hstack([np.cos(angle) * scale, np.sin(angle[:, paired]) * scale[paired]])
-        f.flags.writeable = False
-        return f
+    @property
+    def normal_rank(self):
+        """Rank r of the factor F of K^T K = F F^T (see _normal_modes)."""
+        keep, paired, _, _ = self._normal_modes
+        return keep.size + int(np.count_nonzero(paired))
 
     @cached_property
     def _normal_modes(self):
-        """(keep, paired, scale, amp): the columns of normal_factor.
+        """(keep, paired, scale, amp): the columns of the factor F.
 
-        keep lists the modes k with |symbol_k|^2 > eps max|symbol|^2, each a
-        cosine column; paired marks those with a sine partner (0 < k < n/2).
-        Column scale is sqrt(c_k |symbol_k|^2 / n), with c_k = 2 for a pair
-        and 1 otherwise, and amp = n scale / c_k is the coefficient of mode k
-        in the rfft convention that puts that column back together.
+        K^T K is the circulant with eigenvalues |symbol|^2, and F is its
+        real Fourier expansion: a cosine column for each mode k in keep,
+        those with |symbol_k|^2 > eps max|symbol|^2 (dropping the rest
+        changes K^T K by at most that much), then a sine column for each k
+        that paired marks (0 < k < n/2; the constant and, for even n, the
+        Nyquist mode have none).  Column scale is sqrt(c_k |symbol_k|^2 / n),
+        with c_k = 2 for a pair and 1 otherwise, and amp = n scale / c_k is
+        the coefficient of mode k in the rfft convention that puts that
+        column back together.
         """
         n = self.level.n_dof
         lam = np.abs(self._band[0]) ** 2

@@ -12,11 +12,12 @@ levels sharpen the map with one Newton step 2M - M G M, applied
 procedurally as two recursive corrections.
 
 The coarsest inverse follows the operator's structure.  Where K^T K has
-a factor F (K^T K = F F^T, rank r), G = I + B B^T with B = D_{1/p} F is
-inverted by the Woodbury identity through the operator's normal_project
-(F^T y), normal_expand (F z) and normal_gram (F^T diag(w) F): only an
-r x r Cholesky factor is stored, never the n0 x r factor.  Otherwise a
-small coarsest G is LU-factored densely, and a large one is solved by CG.
+a factor F (K^T K = F F^T, the operator's normal_rank r is not None),
+G = I + B B^T with B = D_{1/p} F is inverted by the Woodbury identity
+through the operator's normal_project (F^T y), normal_expand (F z) and
+normal_gram (F^T diag(w) F): only an r x r Cholesky factor is stored, and
+F is never formed.  Otherwise a small coarsest G is LU-factored densely,
+and a large one is solved by CG.
 """
 
 from __future__ import annotations
@@ -95,12 +96,15 @@ def build_preconditioner(hierarchy, operators, lam, beta, coarsest_solver="auto"
 
     The coarse inverse is fixed here, from the coarsest operator's
     structure.  Under "auto" it is exact to roundoff where that is cheap.
-    When the operator's class has a normal_factor F (K^T K = F F^T, rank
-    r), it is the Woodbury identity on G = I + B B^T with B = D_{1/p} F:
-    per call, a Cholesky factor of I_r + normal_gram(1/p^2) = I_r + B^T B;
-    per solve, r - normal_expand(core^{-1} normal_project(r/p))/p.  F
-    itself is not built, and nothing n0 x r is stored (the parabolic
-    operator computes all three from its Fourier band).
+    When K^T K has a factor F (K^T K = F F^T, the operator's normal_rank
+    r is not None), it is the Woodbury identity on G = I + B B^T with
+    B = D_{1/p} F: per call, a Cholesky factor of
+    I_r + normal_gram(1/p^2) = I_r + B^T B; per solve,
+    r - normal_expand(core^{-1} normal_project(r/p))/p.  F itself is not
+    built, and nothing n0 x r is stored (the parabolic operator computes
+    all three from its Fourier band).  A core that lambda near 0 leaves
+    indefinite to roundoff, or not finite (1/p^2 overflows), raises
+    RuntimeError.
     Otherwise, up to DENSE_COARSE_LIMIT coarsest dof, G is assembled from
     the operator's normal_matrix (K^T K, materialized once per operator
     since it does not depend on lambda) and LU-factored.  Above that, and
@@ -129,19 +133,13 @@ def build_preconditioner(hierarchy, operators, lam, beta, coarsest_solver="auto"
 
     sys0 = systems[0]
     if coarsest_solver == "auto" and (
-        _has_normal_factor(sys0.operator)
+        sys0.operator.normal_rank is not None
         or hierarchy.levels[0].n_dof <= DENSE_COARSE_LIMIT
     ):
         inverse = _exact_inverse(sys0)
     else:
         inverse = partial(_coarse_cg, sys0)
     return MgPreconditioner(hierarchy, systems, inverse)
-
-
-def _has_normal_factor(op):
-    """Whether K^T K = F F^T has a factor, read from the operator's class:
-    the instance attribute would build F."""
-    return type(op).normal_factor is not None
 
 
 def _coarse_cg(sys, r):
@@ -164,14 +162,17 @@ def _exact_inverse(sys):
     # stop on
     op = sys.operator
     p = sys.p
-    if _has_normal_factor(op):
+    if op.normal_rank is not None:
         # G = I + B B^T with B = D_{1/p} F, and B^T B = F^T diag(1/p^2) F:
         # only r x r numbers are stored
         core = op.normal_gram(1.0 / (p * p))
         if not core.size:
             return np.copy  # K^T K = 0, so G = I (and LAPACK takes no 0 x 0)
         core[np.diag_indices_from(core)] += 1.0
-        core, lower = sla.cho_factor(core, overwrite_a=True)
+        try:
+            core, lower = sla.cho_factor(core, overwrite_a=True)
+        except ValueError as exc:  # LinAlgError included
+            raise RuntimeError(f"coarse Woodbury core has no Cholesky factor: {exc}") from exc
         potrs, = sla.get_lapack_funcs(("potrs",), (core,))
 
         def solve(r):

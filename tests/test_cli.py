@@ -348,6 +348,28 @@ class TestMain:
         assert err.startswith(f"solver error: {path}: inner predictor solve failed")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("body, reason", [
+        # c1 = 0.1 at beta = 1e-12: a computed eigenvalue of the 8-cell
+        # compression has a negative real part
+        ("beta_list = 1e-12\nc1 = 0.1\n", "generalized spectrum left the right half line"),
+        # 1/p^2 reaches 1e300 at lambda = beta: the coarse Woodbury core
+        # rounds to indefinite
+        ("beta_list = 1e-300\n", "coarse Woodbury core has no Cholesky factor: 3-th"),
+        # a subnormal beta: 1/p^2 overflows to inf
+        ("beta_list = 1e-310\n", "coarse Woodbury core has no Cholesky factor: array"),
+    ], ids=["spectrum", "woodbury-core", "woodbury-overflow"])
+    def test_spectral_cell_failure_returns_two_with_reason(self, tmp_path, capsys,
+                                                           body, reason):
+        path = write_config(
+            tmp_path,
+            f"experiment = spectral-table\nh_list = 0.125\n{body}"
+            f"output_dir = {tmp_path}\n",
+        )
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"solver error: {path}: {reason}")
+        assert len(err.splitlines()) == 1
+
     def test_config_errors_return_one(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
         bad = write_config(tmp_path, "experiment = parabolic-1d\nfinest = 1\n")

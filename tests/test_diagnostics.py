@@ -122,7 +122,7 @@ class TestTwoGridCell:
             hier, c = two_grid_cell(parabolic_builder, np.sin, n, 1.0)
             assert hier.n_levels == 2
             assert hier.finest.n_cells == n
-            ranks = sum(parabolic_builder(lv, i).normal_factor.shape[1]
+            ranks = sum(parabolic_builder(lv, i).normal_rank
                         for i, lv in enumerate(hier.levels))
             k = min(n, ranks)
             assert c.shape == (k, k)
@@ -161,9 +161,9 @@ class TestTwoGridCell:
 
     def test_rejects_an_operator_without_a_factor(self):
         class Unfactored(ZeroOperator):
-            normal_factor = None
+            normal_rank = None
 
-        with pytest.raises(ValueError, match="normal_factor"):
+        with pytest.raises(ValueError, match="normal_rank"):
             two_grid_cell(lambda lv, i: Unfactored(i, lv), np.sin, 16, 1.0)
 
     def test_zero_map_gives_unit_spectrum(self):

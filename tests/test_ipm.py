@@ -439,7 +439,7 @@ class TestSolve:
                               np.column_stack([k0.apply(e) for e in np.eye(n0)]))
         x = node_coordinates(hier.finest)
         f = ops[-1].apply(two_bump_target(x))
-        # the parabolic coarse solve uses its normal_factor and applies no
+        # the parabolic coarse solve uses its K^T K factor and applies no
         # level-0 operator; without a factor, one apply and one transpose
         # per coarse column, then never again: the dense coarse solve and
         # the cycle touch no level-0 operator
@@ -455,12 +455,19 @@ class TestSolve:
             assert coarse.matvec_counter == applies
 
     def test_coarse_normal_factor_is_never_built(self):
-        # the Woodbury coarse inverse reads the band, not the n0 x r factor,
-        # and no other level's factor is wanted either
+        # the Woodbury coarse inverse reads the band, not the n0 x r factor:
+        # after a solve no operator holds an array with a row per dof and
+        # more than one column (an n x r factor or the n x n K^T K)
         prob = warm_parabolic_problem(1024, 3)
         assert solve(prob).converged
         for op in prob.operators:
-            assert "normal_factor" not in op.__dict__
+            stack = list(vars(op).values())
+            while stack:
+                v = stack.pop()
+                if isinstance(v, tuple):
+                    stack.extend(v)
+                elif isinstance(v, np.ndarray):
+                    assert not (v.ndim == 2 and v.shape[0] == op.level.n_dof)
 
     def test_preconditioner_built_once_per_outer(self, monkeypatch):
         hier = build_hierarchy("periodic-interval", 128, 2)

@@ -113,13 +113,18 @@ def square_64():
     return level, elliptic_build(level)
 
 
+def expanded_factor(op):
+    """F = normal_expand(I_r): the factor of K^T K = F F^T, column by column."""
+    return op.normal_expand(np.eye(op.normal_rank))
+
+
 class TestNormalFactor:
     # 8 cells keep every mode, so the Nyquist column (even n) is in the factor
     @pytest.mark.parametrize("n", [8, 9, 64, 63])
     def test_reproduces_the_materialized_normal_matrix(self, n):
         level = build_hierarchy("periodic-interval", n, 1).finest
         op = parabolic_build(level, ParabolicConfig())
-        F = op.normal_factor
+        F = expanded_factor(op)
         assert op.matvec_counter == 0
         if n < 10:
             assert F.shape == (n, n)
@@ -127,31 +132,32 @@ class TestNormalFactor:
         assert np.max(np.abs(F @ F.T - H)) <= 1e-14 * np.max(np.abs(H))
 
     def test_is_low_rank_on_a_fine_coarsest_level(self, line_1024):
-        F = parabolic_build(line_1024, ParabolicConfig()).normal_factor
-        assert F.shape[0] == 1024 and F.shape[1] <= 64
-        assert not F.flags.writeable
+        op = parabolic_build(line_1024, ParabolicConfig())
+        assert op.normal_rank <= 64
+        assert expanded_factor(op).shape == (1024, op.normal_rank)
 
     def test_absent_where_there_is_no_circulant_structure(self, square_64):
         _, op = square_64
-        assert op.normal_factor is None
+        assert op.normal_rank is None
 
     def test_zero_operator_has_an_exact_empty_factor(self):
         level = build_hierarchy("periodic-interval", 16, 1).finest
         op = ZeroOperator(0, level)
-        F = op.normal_factor
+        assert op.normal_rank == 0
+        F = expanded_factor(op)
         assert F.shape == (16, 0)
-        assert not F.flags.writeable
         assert_array_equal(F @ F.T, op.normal_matrix)
 
 
 class TestNormalMembers:
-    """F^T y, F z and F^T diag(w) F without F, against the explicit factor.
+    """F^T y, F z and F^T diag(w) F agree with one factor F that is K^T K.
 
-    The parabolic operator computes all three from its Fourier band; the
-    oracle is the materialized normal_factor (checked against K^T K
-    above).  The cases take the split path (1024, 1030 = 103 x 10), the
-    plain round trip (64, 1021 prime, a = 1e-5 with 457 columns), and a
-    full band whose factor has the Nyquist column (16 cells at c1 = 2).
+    F := normal_expand(I_r) is checked against normal_matrix, the K^T K
+    materialized from applies; then normal_project is its transpose and
+    normal_gram its weighted Gram matrix.  The cases take the split path
+    (1024, 1030 = 103 x 10), the plain round trip (64, 1021 prime,
+    a = 1e-5 with 457 columns), and a full band whose factor has the
+    Nyquist column (16 cells at c1 = 2).
     """
 
     @pytest.mark.parametrize(
@@ -169,8 +175,8 @@ class TestNormalMembers:
         level = build_hierarchy("periodic-interval", n, 1).finest
         op = parabolic_build(level, config)
         assert (op._band[1] is not None) == split
-        F = op.normal_factor
-        r = F.shape[1]
+        F = expanded_factor(op)
+        r = op.normal_rank
         if config.c1 == 2.0:
             # every mode is kept, the Nyquist mode with one column
             assert r == n
@@ -180,6 +186,7 @@ class TestNormalMembers:
             assert got.shape == ref.shape
             return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
+        assert gap(op.normal_project(np.eye(n)).T, F) <= 1e-13
         for cols in ((), (3,)):
             y = rng.standard_normal((n, *cols))
             assert gap(op.normal_project(y), F.T @ y) <= 1e-13
@@ -189,6 +196,8 @@ class TestNormalMembers:
         w = 1.0 + rng.random(n) + np.sin(2 * np.pi * np.arange(n) / n)
         assert gap(op.normal_gram(w), F.T @ (w[:, None] * F)) <= 1e-13
         assert op.matvec_counter == 0
+        H = op.normal_matrix
+        assert gap(F @ F.T, H) <= 1e-14
 
     def test_zero_operator_works_at_rank_zero(self, rng):
         level = build_hierarchy("periodic-interval", 16, 1).finest

@@ -20,6 +20,7 @@ REMOVED = (
     "LinearOperatorHandle",
     "lemma_a2_check",
     "ReducedSystem",
+    "restrict",
 )
 
 
