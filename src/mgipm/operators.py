@@ -28,6 +28,11 @@ F^T diag(w) F has a closed form in the rfft of w.  These three members
 (normal_project, normal_expand, normal_gram) and the rank r are all an
 operator says of F: the coarse Woodbury inverse uses them, and nothing
 forms the n x r factor.
+
+The elliptic K^T K = M A^{-2} M has no low-rank factor, but its stiffness
+A and mass M are stencils: stiffness_band(w) gives the lower LAPACK band
+of A^2 + M diag(w) M (half-bandwidth 2 n_cells), summed from stencil
+products, for the coarse Woodbury inverse through the stiffness.
 """
 
 from __future__ import annotations
@@ -62,9 +67,13 @@ class ForwardOperator:
     normal_expand(z) = F z for an r-vector or r x k block, and
     normal_gram(w) = F^T diag(w) F for an n-vector w (see ParabolicOperator
     and ZeroOperator).  normal_rank None means there is no such factor.
+    An operator K = -A^{-1} M with a banded A^2 + M diag(w) M gives that
+    band as stiffness_band(w) (see EllipticOperator); None means it has
+    none.
     """
 
     normal_rank = None
+    stiffness_band = None
 
     def __init__(self, level_index, level):
         self.level_index = level_index
@@ -87,7 +96,8 @@ class ForwardOperator:
 
     @cached_property
     def normal_matrix(self):
-        """Dense K^T K, materialized once with 2 n_dof applies; small levels only.
+        """Dense K^T K, materialized once with 2 n_dof applies; the coarse
+        inverse of an operator with no structure, on small levels only.
 
         The matrix is shared by every later caller, so it is read-only.
         """
@@ -400,7 +410,12 @@ class EllipticOperator(ForwardOperator):
     triangulation carry no stiffness coupling.  The orthonormal sine matrix
     S_jk = sqrt(2/n) sin(pi j k / n) diagonalizes T, so on the m x m array of
     nodal values A^{-1} X = S ((S X S) / Lambda) S with
-    Lambda_jk = t_j + t_k, t_k = 2 - 2 cos(pi k / n).
+    Lambda_jk = t_j + t_k, t_k = 2 - 2 cos(pi k / n).  The operator stores
+    -Lambda, so one division carries the sign of K.
+
+    A and M are sparse, so K^T K = M A^{-2} M has no low-rank factor, but
+    A^2 + M diag(w) M is banded: stiffness_band(w) gives its lower band,
+    for the coarse Woodbury inverse (see mgipm.precond).
     """
 
     def __init__(self, level_index, level):
@@ -410,23 +425,79 @@ class EllipticOperator(ForwardOperator):
         # integer phases reduced mod 2n keep the angles exact before rounding
         self._sine = np.sqrt(2.0 / n) * np.sin(np.pi / n * (np.outer(k, k) % (2 * n)))
         t = 2.0 - 2.0 * np.cos(np.pi / n * k)
-        self._eig = t[:, None] + t[None, :]
+        self._neg_eig = -(t[:, None] + t[None, :])
         # full (unrescaled) consistent mass = h^2 times the stored one
         self.mass_full = (level.h**2) * level.mass_matrix
 
-    def _solve_stiffness(self, rhs):
+    def _negated_stiffness_solve(self, rhs):
+        """-A^{-1} rhs; negation is exact, so these are the bits of -(A^{-1} rhs)."""
         # the columns of an n x k block become k stacked m x m grids
         s = self._sine
         x = rhs.reshape(s.shape) if rhs.ndim == 1 else rhs.T.reshape(-1, *s.shape)
-        y = s @ ((s @ x @ s) / self._eig) @ s
+        y = s @ ((s @ x @ s) / self._neg_eig) @ s
         return y.reshape(rhs.shape[::-1]).T
 
     def _apply(self, u):
-        return -self._solve_stiffness(self.mass_full @ u)
+        return self._negated_stiffness_solve(self.mass_full @ u)
 
     def _apply_transpose(self, u):
         # A is symmetric, so K^T = -M A^{-1}
-        return -(self.mass_full @ self._solve_stiffness(u))
+        return self.mass_full @ self._negated_stiffness_solve(u)
+
+    def stiffness_band(self, w):
+        """Lower LAPACK band of H = A^2 + M diag(w) M for an n-vector w.
+
+        Row d of the (2 n_cells + 1) x n_dof result holds H[j + d, j] at
+        column j (zero where j + d >= n_dof): the mass couples nodes
+        m + 1 = n_cells apart in the node order, so H has half-bandwidth
+        2 n_cells.  The array is Fortran-ordered, as LAPACK's pbtrf takes
+        it.  H is linear in (w, 1), and _band_terms holds that map as
+        stencil terms; no operator is applied.
+        """
+        m = self.level.n_cells - 1
+        band = np.zeros((m, m, 2 * m + 3))
+        # w and ones on the m x m grid padded by one zero node all round, so
+        # a term whose middle node falls outside the grid reads 0
+        src = np.zeros((2, m + 2, m + 2))
+        src[0, 1:-1, 1:-1] = w.reshape(m, m)
+        src[1, 1:-1, 1:-1] = 1.0
+        for d, target, middle, coef in self._band_terms:
+            band[target + (d,)] += coef * src[middle]
+        return band.reshape(m * m, -1).T
+
+    @cached_property
+    def _band_terms(self):
+        """The map (w, 1) -> lower band of H, as (d, target, middle, coef).
+
+        With M and A the stencils c and a, H[i, j] = sum_k c(i - k) w_k
+        c(k - j) + a(i - k) a(k - j).  One term is one pair of stencil
+        offsets s = k - j and t = i - k with delta = s + t in the lower
+        band (d = delta_x m + delta_y >= 0): at every node j whose i lies on
+        the grid (the target slices), it adds coef = c(s) c(t) times w at k
+        (or a(s) a(t) times 1; the middle slices of the padded source).
+        """
+        m = self.level.n_cells - 1
+        # the rescaled mass stencil of grid._mass_dirichlet times h^2, with
+        # the bits of mass_full
+        h2 = self.level.h**2
+        diag, off = h2 * 0.5, h2 * (1.0 / 12.0)
+        neighbors = ((1, 0), (-1, 0), (0, 1), (0, -1))
+        mass = {(0, 0): diag, **{o: off for o in neighbors + ((1, 1), (-1, -1))}}
+        stiffness = {(0, 0): 4.0, **{o: -1.0 for o in neighbors}}
+        terms = []
+        for source, stencil in enumerate((mass, stiffness)):
+            for (sx, sy), cs in stencil.items():
+                for (tx, ty), ct in stencil.items():
+                    dx, dy = sx + tx, sy + ty
+                    if dx < 0 or (dx == 0 and dy < 0):
+                        continue  # the upper band, which pbtrf does not read
+                    x0, y0 = max(0, -dx), max(0, -dy)
+                    x1, y1 = m - max(0, dx), m - max(0, dy)
+                    target = (slice(x0, x1), slice(y0, y1))
+                    middle = (source, slice(x0 + sx + 1, x1 + sx + 1),
+                              slice(y0 + sy + 1, y1 + sy + 1))
+                    terms.append((dx * m + dy, target, middle, cs * ct))
+        return terms
 
 
 def elliptic_build(level, config=None, level_index=0):

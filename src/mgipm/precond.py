@@ -16,8 +16,13 @@ a factor F (K^T K = F F^T, the operator's normal_rank r is not None),
 G = I + B B^T with B = D_{1/p} F is inverted by the Woodbury identity
 through the operator's normal_project (F^T y), normal_expand (F z) and
 normal_gram (F^T diag(w) F): only an r x r Cholesky factor is stored, and
-F is never formed.  Otherwise a small coarsest G is LU-factored densely,
-and a large one is solved by CG.
+F is never formed.  Where K = -A^{-1} M with sparse A and M (the
+operator's stiffness_band is not None), G = I + Z^T Z with
+Z = A^{-1} M D_{1/p}, and the Woodbury identity gives
+G^{-1} = I - D_{1/p} M H^{-1} M D_{1/p} with the banded
+H = A^2 + M D_{1/p}^2 M, Cholesky-factored in band storage.  Both are
+exact at every size.  Only an operator with neither structure has its
+coarsest G LU-factored densely.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ __all__ = [
     "mg_apply",
 ]
 
-DENSE_COARSE_LIMIT = 2048
 COARSEST_SOLVERS = ("auto", "cg")
 
 
@@ -95,9 +99,9 @@ def build_preconditioner(hierarchy, operators, lam, beta, coarsest_solver="auto"
     fine-node values; every level must keep lambda >= beta > 0.
 
     The coarse inverse is fixed here, from the coarsest operator's
-    structure.  Under "auto" it is exact to roundoff where that is cheap.
-    When K^T K has a factor F (K^T K = F F^T, the operator's normal_rank
-    r is not None), it is the Woodbury identity on G = I + B B^T with
+    structure.  Under "auto" it is exact to roundoff.  When K^T K has a
+    factor F (K^T K = F F^T, the operator's normal_rank r is not None), it
+    is the Woodbury identity on G = I + B B^T with
     B = D_{1/p} F: per call, a Cholesky factor of
     I_r + normal_gram(1/p^2) = I_r + B^T B; per solve,
     r - normal_expand(core^{-1} normal_project(r/p))/p.  F itself is not
@@ -105,11 +109,17 @@ def build_preconditioner(hierarchy, operators, lam, beta, coarsest_solver="auto"
     all three from its Fourier band).  A core that lambda near 0 leaves
     indefinite to roundoff, or not finite (1/p^2 overflows), raises
     RuntimeError.
-    Otherwise, up to DENSE_COARSE_LIMIT coarsest dof, G is assembled from
-    the operator's normal_matrix (K^T K, materialized once per operator
-    since it does not depend on lambda) and LU-factored.  Above that, and
-    always under "cg", each coarse solve runs unpreconditioned CG to a
-    relative residual of 1e-10.
+    When K = -A^{-1} M (the operator's stiffness_band is not None), it is
+    the Woodbury identity on G = I + Z^T Z with Z = A^{-1} M D_{1/p}: per
+    call, LAPACK's pbtrf factors the lower band of
+    H = stiffness_band(1/p^2) = A^2 + M D_{1/p}^2 M (half-bandwidth
+    2 n_cells) in place; per solve, r - M pbtrs(H, M (r/p)) / p.  A band
+    whose factor is not finite (1/p^2 overflows) raises RuntimeError.
+    An operator with neither structure (the dense test operators) has G
+    assembled from its normal_matrix (K^T K, materialized once per
+    operator since it does not depend on lambda) and LU-factored.
+    Under "cg" each coarse solve runs unpreconditioned CG to a relative
+    residual of 1e-10 instead.
     """
     if len(operators) != hierarchy.n_levels:
         raise ValueError(
@@ -132,10 +142,7 @@ def build_preconditioner(hierarchy, operators, lam, beta, coarsest_solver="auto"
     ]
 
     sys0 = systems[0]
-    if coarsest_solver == "auto" and (
-        sys0.operator.normal_rank is not None
-        or hierarchy.levels[0].n_dof <= DENSE_COARSE_LIMIT
-    ):
+    if coarsest_solver == "auto":
         inverse = _exact_inverse(sys0)
     else:
         inverse = partial(_coarse_cg, sys0)
@@ -181,7 +188,25 @@ def _exact_inverse(sys):
             return r - op.normal_expand(z) / q
 
         return solve
-    # one Fortran-ordered array, scaled and LU-factored in place
+    if op.stiffness_band is not None:
+        # K = -A^{-1} M, so G = I + Z^T Z with Z = A^{-1} M D_{1/p}, and
+        # Woodbury gives G^{-1} = I - D_{1/p} M H^{-1} M D_{1/p} with the
+        # banded H = A^2 + M D_{1/p}^2 M, Cholesky-factored in place
+        band = op.stiffness_band(1.0 / (p * p))
+        pbtrf, pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
+        band, info = pbtrf(band, lower=1, overwrite_ab=1)
+        if info or not np.isfinite(band[0]).all():
+            raise RuntimeError(
+                f"coarse band core has no finite Cholesky factor (pbtrf info {info})")
+        mass = op.mass_full
+
+        def solve(r):
+            q = p if r.ndim == 1 else p[:, None]
+            z = pbtrs(band, mass @ (r / q), lower=1, overwrite_b=1)[0]
+            return r - (mass @ z) / q
+
+        return solve
+    # no structure: one Fortran-ordered array, scaled and LU-factored in place
     n = p.size
     dinv = 1.0 / p
     G = np.multiply(op.normal_matrix, dinv[:, None], order="F")

@@ -19,16 +19,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mgipm.cli import two_bump_target
 from mgipm.diagnostics import _cell_spectrum
 from mgipm.grid import (
     KIND_PERIODIC,
     GridHierarchy,
     GridLevel,
     NodalField,
+    build_hierarchy,
+    l2_project,
     node_coordinates,
     prolong,
 )
-from mgipm.operators import ForwardOperator
+from mgipm.ipm import ControlProblem, IpmOptions
+from mgipm.operators import ForwardOperator, ParabolicConfig, elliptic_build, parabolic_build
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +356,9 @@ def convergence_probe(hierarchy, build, u_smooth):
 
 
 # ---------------------------------------------------------------------------
-# spectral oracles of the parabolic operator and the two-grid map (these
-# two repeat the package's arithmetic on its definitions, so that a band
-# test need not read the operator's own symbol)
+# spectral oracles of the two forward operators and the two-grid map
+# (these three repeat the package's arithmetic on its definitions, so that
+# a test need not read an operator's own tables)
 
 def crank_nicolson_symbol(level, config):
     """Eigenvalues s[k], k = 0..n//2, of the parabolic operator on a level.
@@ -379,6 +383,23 @@ def crank_nicolson_symbol(level, config):
     mass, transport = np.conj(np.fft.rfft(rows, axis=1))
     half = 0.5 * dt * transport
     return ((mass - half) / (mass + half)) ** n_steps
+
+
+def sine_diagonalization(n, dtype=float):
+    """(S, Lam) with A = (S (x) S) diag(Lam.ravel()) (S (x) S) on n cells.
+
+    A is the five-point stiffness T (x) I + I (x) T of the elliptic
+    operator on the m = n - 1 interior lines, S_jk = sqrt(2/n)
+    sin(pi j k / n) is orthonormal and symmetric, and Lam_jk = t_j + t_k
+    with t_k = 2 - 2 cos(pi k / n), all evaluated in dtype.
+    """
+    one = np.ones((), dtype)
+    pi = np.arccos(-one)  # pi to the precision of dtype
+    k = np.arange(1, n).astype(dtype)
+    # integer phases reduced mod 2n keep the angles exact before rounding
+    s = np.sqrt(2 * one / n) * np.sin(pi / n * (np.outer(k, k) % (2 * n)))
+    t = 2 - 2 * np.cos(pi / n * k)
+    return s, t[:, None] + t[None, :]
 
 
 def lemma_a2_check(sg):
@@ -422,6 +443,49 @@ def peak_vectors(fn, n):
         if not outer:
             tracemalloc.stop()
     return peak / (8.0 * n)
+
+
+# ---------------------------------------------------------------------------
+# the `mgipm run` problems with their set-up done, for whole solves
+
+def _warm(hier, ops):
+    # the operator tables and the transfer matrices, built as the first
+    # apply and transfer build them; the coarse inverse is left to the solve
+    for i, (lv, op) in enumerate(zip(hier.levels, ops)):
+        op.apply(np.zeros(lv.n_dof))
+        if i > 0:
+            l2_project(hier, NodalField(i, np.zeros(lv.n_dof)))
+            prolong(hier, NodalField(i - 1, np.zeros(hier.levels[i - 1].n_dof)))
+
+
+def warm_parabolic_problem(n, levels):
+    """The parabolic `mgipm run` problem with the operator symbols and the
+    transfer matrices built up front; the coarse normal factor is left to
+    the solve, whose first preconditioner builds it."""
+    hier = build_hierarchy("periodic-interval", n >> (levels - 1), levels)
+    ops = [parabolic_build(lv, ParabolicConfig(), level_index=i)
+           for i, lv in enumerate(hier.levels)]
+    _warm(hier, ops)
+    fin = levels - 1
+    f = ops[-1].apply(two_bump_target(node_coordinates(hier.finest)))
+    return ControlProblem(hier, ops, NodalField(fin, f), 1e-3,
+                          NodalField(fin, np.zeros(n)), NodalField(fin, np.ones(n)))
+
+
+def warm_elliptic_problem(n, levels):
+    """(problem, options) of the elliptic `mgipm run` on n cells, warmed as
+    warm_parabolic_problem is; the coarse band is left to the solve."""
+    hier = build_hierarchy("dirichlet-square", n >> (levels - 1), levels)
+    ops = [elliptic_build(lv, level_index=i) for i, lv in enumerate(hier.levels)]
+    _warm(hier, ops)
+    fin = levels - 1
+    x, y = node_coordinates(hier.finest)
+    f = ops[-1].apply(1.5 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
+    size = hier.finest.n_dof
+    prob = ControlProblem(hier, ops, NodalField(fin, f), 1e-6,
+                          NodalField(fin, np.full(size, -1.0)),
+                          NodalField(fin, np.ones(size)))
+    return prob, IpmOptions(mu_tol=1e-15)
 
 
 # ---------------------------------------------------------------------------

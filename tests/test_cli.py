@@ -348,6 +348,23 @@ class TestMain:
         assert err.startswith(f"solver error: {path}: inner predictor solve failed")
         assert len(err.splitlines()) == 1
 
+    def test_parabolic_tiny_beta_stops_with_reason(self, tmp_path, capsys):
+        # 1D 256/2 converges down to beta = 1e-5 and fails from 1e-6 on;
+        # at 1e-14 the inner predictor solve ends far above the usable
+        # residual (5.0e-01): a clean exit 2 with one line, no CSVs
+        path = write_config(
+            tmp_path,
+            "experiment = parabolic-1d\nfinest_n = 256\nlevels = 2\nbeta = 1e-14\n"
+            f"output_dir = {tmp_path}\n",
+        )
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(
+            f"solver error: {path}: inner predictor solve failed at outer iteration 12 "
+            "(relative residual")
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("body, reason", [
         # c1 = 0.1 at beta = 1e-12: a computed eigenvalue of the 8-cell
         # compression has a negative real part

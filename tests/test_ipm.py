@@ -14,9 +14,11 @@ from conftest import (
     enumerate_box_qp,
     peak_vectors,
     toy_hierarchy,
+    warm_elliptic_problem,
+    warm_parabolic_problem,
 )
 from mgipm.cli import two_bump_target
-from mgipm.grid import NodalField, build_hierarchy, l2_project, node_coordinates, prolong
+from mgipm.grid import NodalField, build_hierarchy, node_coordinates
 from mgipm.ipm import (
     ControlProblem,
     IpmOptions,
@@ -469,6 +471,18 @@ class TestSolve:
                 elif isinstance(v, np.ndarray):
                     assert not (v.ndim == 2 and v.shape[0] == op.level.n_dof)
 
+    def test_elliptic_coarse_level_applies_and_caches_nothing(self):
+        # the banded coarse inverse reads the stencils, not K^T K: after a
+        # 2-level 2D solve no operator has cached normal_matrix, and the
+        # coarse operator was never applied
+        prob, opts = warm_elliptic_problem(32, 2)
+        coarse = prob.operators[0]
+        before = coarse.matvec_counter
+        assert solve(prob, opts).converged
+        assert coarse.matvec_counter == before
+        for op in prob.operators:
+            assert "normal_matrix" not in vars(op)
+
     def test_preconditioner_built_once_per_outer(self, monkeypatch):
         hier = build_hierarchy("periodic-interval", 128, 2)
         ops = [parabolic_build(lv, ParabolicConfig(), level_index=i)
@@ -491,24 +505,6 @@ class TestSolve:
         assert len(calls) == len(result.records)
 
 
-def warm_parabolic_problem(n, levels):
-    """The parabolic `mgipm run` problem with the operator symbols and the
-    transfer matrices built up front; the coarse normal factor is left to
-    the solve, whose first preconditioner builds it."""
-    hier = build_hierarchy("periodic-interval", n >> (levels - 1), levels)
-    ops = [parabolic_build(lv, ParabolicConfig(), level_index=i)
-           for i, lv in enumerate(hier.levels)]
-    for i, (lv, op) in enumerate(zip(hier.levels, ops)):
-        op.apply(np.zeros(lv.n_dof))
-        if i > 0:
-            l2_project(hier, NodalField(i, np.zeros(lv.n_dof)))
-            prolong(hier, NodalField(i - 1, np.zeros(hier.levels[i - 1].n_dof)))
-    fin = levels - 1
-    f = ops[-1].apply(two_bump_target(node_coordinates(hier.finest)))
-    return ControlProblem(hier, ops, NodalField(fin, f), 1e-3,
-                          NodalField(fin, np.zeros(n)), NodalField(fin, np.ones(n)))
-
-
 class TestWorkingSet:
     """Peak allocation of a whole solve, in finest-level n-vectors.
 
@@ -526,3 +522,14 @@ class TestWorkingSet:
         peak = peak_vectors(lambda: results.append(solve(prob)), 4096)
         assert results[0].converged
         assert peak <= bound
+
+    def test_elliptic_two_level_solve_peak(self):
+        # 2D n=32 on two levels, the banded coarse inverse built inside the
+        # solve: 33.8-35.7 vectors measured, so the bound leaves 12% over
+        # the highest.  The dense coarse K^T K and LU-factored G (52.7
+        # vectors each) held the solve at 138
+        prob, opts = warm_elliptic_problem(32, 2)
+        results = []
+        peak = peak_vectors(lambda: results.append(solve(prob, opts)), 961)
+        assert results[0].converged
+        assert peak <= 40.0

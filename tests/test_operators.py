@@ -15,6 +15,7 @@ from conftest import (
     mass_matrix_dirichlet,
     mass_matrix_periodic,
     peak_vectors,
+    sine_diagonalization,
     stiffness_matrix_dirichlet,
 )
 from mgipm.grid import build_hierarchy, node_coordinates
@@ -265,6 +266,70 @@ class TestEllipticBuild:
         for apply, expected in ((op.apply, K), (op.apply_transpose, K.T)):
             got = apply(np.eye(level.n_dof))
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_has_the_bits_of_the_sine_formula(self, n, rng):
+        # the operator stores -Lambda, so that one division carries the sign
+        # of K; negation is exact, so apply and transpose keep the bits of
+        # -S((S X S)/Lambda)S, on vectors and on n x k blocks column by column
+        level = build_hierarchy("dirichlet-square", n, 1).finest
+        op = elliptic_build(level)
+        s, lam = sine_diagonalization(n)
+        mass = op.mass_full
+        m = n - 1
+
+        def minus_inverse(x):
+            return -(s @ ((s @ x.reshape(m, m) @ s) / lam) @ s).ravel()
+
+        for cols in ((), (3,)):
+            u = rng.standard_normal((level.n_dof, *cols))
+            columns = [u] if not cols else list(u.T)
+            apply = [minus_inverse(mass @ c) for c in columns]
+            transpose = [mass @ minus_inverse(c) for c in columns]
+            if cols:
+                apply, transpose = np.column_stack(apply), np.column_stack(transpose)
+            else:
+                apply, transpose = apply[0], transpose[0]
+            assert_array_equal(op.apply(u), apply)
+            assert_array_equal(op.apply_transpose(u), transpose)
+
+
+class TestStiffnessBand:
+    """The lower band of H = A^2 + M diag(w) M (the coarse Woodbury core).
+
+    A is assembled densely from its sine diagonalization and M element by
+    element; w is scaled by 1/h^4, so that both terms of H are of order 1.
+    """
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_matches_the_dense_matrix(self, n, rng):
+        level = build_hierarchy("dirichlet-square", n, 1).finest
+        op = elliptic_build(level)
+        s, lam = sine_diagonalization(n)
+        ss = np.kron(s, s)
+        A = ss @ (lam.ravel()[:, None] * ss)
+        M = mass_matrix_dirichlet(n).toarray()
+        size = level.n_dof
+        w = (1.0 + rng.random(size)) / level.h**4
+        H = A @ A + M @ (w[:, None] * M)
+        band = op.stiffness_band(w)
+        kd = 2 * n
+        assert band.shape == (kd + 1, size)
+        assert band.flags.f_contiguous
+        assert op.matvec_counter == 0
+        # H has half-bandwidth 2n: nothing of it lies outside the band
+        i, j = np.indices(H.shape)
+        assert np.max(np.abs(H[i - j > kd]), initial=0.0) <= 1e-13 * np.max(np.abs(H))
+        ref = np.zeros_like(band)
+        for d in range(kd + 1):
+            ref[d, : size - d] = np.diagonal(H, -d)
+        assert np.max(np.abs(band - ref)) <= 1e-13 * np.max(np.abs(H))
+
+    def test_structureless_operators_have_none(self):
+        level = build_hierarchy("periodic-interval", 16, 1).finest
+        assert parabolic_build(level, ParabolicConfig()).stiffness_band is None
+        assert ZeroOperator(0, level).stiffness_band is None
 
 
 class TestAdjointH:

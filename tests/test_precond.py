@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import DenseOperator, lemma_a2_check
+from conftest import DenseOperator, lemma_a2_check, sine_diagonalization
 from mgipm.grid import NodalField, build_hierarchy, l2_project, node_coordinates, prolong
 from mgipm.krylov import cgs
 from mgipm.operators import ParabolicConfig, ZeroOperator, elliptic_build, parabolic_build
@@ -153,8 +153,9 @@ class TestBuildPreconditioner:
         assert np.linalg.norm(outs[0] - outs[1]) <= 1e-9 * np.linalg.norm(outs[0])
 
     def test_auto_keeps_the_exact_solve_above_the_dense_limit(self, rng):
-        # n0 = 2304 > DENSE_COARSE_LIMIT, but the parabolic factor of
-        # K^T K (normal_rank) makes the exact coarse solve cheap at any size
+        # n0 = 2304, above the size a dense coarse G could serve: the
+        # parabolic factor of K^T K (normal_rank) makes the exact coarse
+        # solve cheap at any size
         hier = build_hierarchy("periodic-interval", 2304, 2)
         lam = sine_lambda(hier, 1.0)
         r = rng.standard_normal(4608)
@@ -185,6 +186,55 @@ class TestBuildPreconditioner:
             ref = np.linalg.solve(G, R)
             assert Z.shape == R.shape
             assert np.linalg.norm(Z - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("beta", [1.0, 1e-6, 1e-8])
+    @pytest.mark.parametrize("n0", [4, 8, 16, 32])
+    def test_elliptic_coarse_solve_is_exact(self, n0, beta, rng):
+        # the banded Woodbury solve against the dense G of g_apply.  At
+        # lambda = beta = 1e-8 on 32 cells G has condition number 2e5, and
+        # np.linalg.solve on the G of g_apply was off by 5e-12, so the
+        # reference is refined twice with residuals of the exact
+        # G = I + D M A^{-2} M D in extended precision, A^{-1} from its
+        # sine diagonalization
+        hier = build_hierarchy("dirichlet-square", n0, 2)
+        ops = [elliptic_build(lv, level_index=i) for i, lv in enumerate(hier.levels)]
+        nf = hier.finest.n_dof
+        lam = NodalField(1, beta * (1.0 + 10.0 * rng.random(nf)))
+        mg = build_preconditioner(hier, ops, lam, beta)
+        assert "normal_matrix" not in vars(ops[0])
+        assert ops[0].matvec_counter == 0
+        sys0 = mg.systems[0]
+        n = n0 - 1
+        s, eig = sine_diagonalization(n0, np.longdouble)
+        mass = ops[0].mass_full.toarray().astype(np.longdouble)
+        p = sys0.p.astype(np.longdouble)
+
+        def exact_g(x):
+            # x is n^2 x k; each column is an n x n grid
+            k = x.shape[1]
+            grids = (mass @ (x / p[:, None])).T.reshape(k, n, n)
+            grids = s @ ((s @ grids @ s) / (eig * eig)) @ s
+            return x + (mass @ grids.reshape(k, -1).T) / p[:, None]
+
+        G = g_apply(sys0, np.eye(n * n))
+        for r in (rng.standard_normal(n * n), rng.standard_normal((n * n, 3))):
+            rhs = r.reshape(n * n, -1)
+            ref = np.linalg.solve(G, rhs).astype(np.longdouble)
+            for _ in range(2):
+                ref += np.linalg.solve(G, (rhs - exact_g(ref)).astype(float))
+            z = mg.coarse_solve(r)
+            assert z.shape == r.shape
+            err = np.linalg.norm(z.reshape(n * n, -1) - ref) / np.linalg.norm(ref)
+            assert err <= 1e-12
+
+    def test_elliptic_core_overflow_raises(self):
+        # a subnormal lambda makes 1/p^2 overflow: the band's factor is not
+        # finite, and the build stops with RuntimeError
+        hier = build_hierarchy("dirichlet-square", 4, 2)
+        ops = [elliptic_build(lv, level_index=i) for i, lv in enumerate(hier.levels)]
+        with np.errstate(over="ignore"):
+            with pytest.raises(RuntimeError, match="no finite Cholesky factor"):
+                build_preconditioner(hier, ops, NodalField(1, np.full(49, 1e-310)), 1e-310)
 
     def test_zero_operator_coarse_solve_is_the_identity(self, rng):
         # K^T K = 0 has the rank-0 factor, and G = I
