@@ -32,7 +32,8 @@ forms the n x r factor.
 The elliptic K^T K = M A^{-2} M has no low-rank factor, but its stiffness
 A and mass M are stencils: stiffness_band(w) gives the lower LAPACK band
 of A^2 + M diag(w) M (half-bandwidth 2 n_cells), summed from stencil
-products, for the coarse Woodbury inverse through the stiffness.
+products, for the coarse Woodbury inverse through the stiffness, and
+stiffness_residual(c, z) = c - A^2 z refines its solves.
 """
 
 from __future__ import annotations
@@ -439,6 +440,18 @@ class EllipticOperator(ForwardOperator):
 
     def _apply(self, u):
         return self._negated_stiffness_solve(self.mass_full @ u)
+
+    def stiffness_residual(self, c, z):
+        """c - A^2 z for two n-vectors or n x k blocks, formed in the sine
+        basis, where A^2 is the diagonal Lambda^2; it refines the coarse
+        band solves (see mgipm.precond)."""
+        s = self._sine
+        shape = s.shape if c.ndim == 1 else (c.shape[1], *s.shape)
+        cz = np.stack([x.reshape(shape) if x.ndim == 1 else x.T.reshape(shape)
+                       for x in (c, z)])
+        cz = s @ cz @ s
+        y = s @ (cz[0] - self._neg_eig**2 * cz[1]) @ s
+        return y.reshape(c.shape[::-1]).T
 
     def _apply_transpose(self, u):
         # A is symmetric, so K^T = -M A^{-1}

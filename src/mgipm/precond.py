@@ -20,8 +20,10 @@ F is never formed.  Where K = -A^{-1} M with sparse A and M (the
 operator's stiffness_band is not None), G = I + Z^T Z with
 Z = A^{-1} M D_{1/p}, and the Woodbury identity gives
 G^{-1} = I - D_{1/p} M H^{-1} M D_{1/p} with the banded
-H = A^2 + M D_{1/p}^2 M, Cholesky-factored in band storage.  Both are
-exact at every size.  Only an operator with neither structure has its
+H = A^2 + M D_{1/p}^2 M, Cholesky-factored in band storage; H squares
+the condition number of A, so above BAND_UNREFINED_MAX_DOF each solve
+takes one step of iterative refinement.  Both are exact to roundoff at
+every size.  Only an operator with neither structure has its
 coarsest G LU-factored densely.
 """
 
@@ -45,6 +47,14 @@ __all__ = [
 ]
 
 COARSEST_SOLVERS = ("auto", "cg")
+
+# Largest coarse level whose band solve skips its refinement step (see
+# _exact_inverse), which makes a solve about 2.4 times as long.  Unrefined,
+# the G residual on 16 x 16 cells (225 dof) stays within 15 times a dense
+# LU's (at most 1e-13); on 32 x 32 cells it is up to 100 times (8e-13),
+# and late in a two-level solve on 128 x 128 cells (64 x 64 coarse) it
+# reaches 1e-11, on which the CGS around it can stall at krylov_maxit.
+BAND_UNREFINED_MAX_DOF = 225
 
 
 @dataclass
@@ -113,8 +123,11 @@ def build_preconditioner(hierarchy, operators, lam, beta, coarsest_solver="auto"
     the Woodbury identity on G = I + Z^T Z with Z = A^{-1} M D_{1/p}: per
     call, LAPACK's pbtrf factors the lower band of
     H = stiffness_band(1/p^2) = A^2 + M D_{1/p}^2 M (half-bandwidth
-    2 n_cells) in place; per solve, r - M pbtrs(H, M (r/p)) / p.  A band
-    whose factor is not finite (1/p^2 overflows) raises RuntimeError.
+    2 n_cells) in place; per solve, r - M pbtrs(H, M (r/p)) / p, where
+    on levels of more than BAND_UNREFINED_MAX_DOF nodes the pbtrs result
+    takes one refinement step on H's residual (the operator's
+    stiffness_residual).  A band whose factor is not finite (1/p^2
+    overflows) raises RuntimeError.
     An operator with neither structure (the dense test operators) has G
     assembled from its normal_matrix (K^T K, materialized once per
     operator since it does not depend on lambda) and LU-factored.
@@ -192,17 +205,27 @@ def _exact_inverse(sys):
         # K = -A^{-1} M, so G = I + Z^T Z with Z = A^{-1} M D_{1/p}, and
         # Woodbury gives G^{-1} = I - D_{1/p} M H^{-1} M D_{1/p} with the
         # banded H = A^2 + M D_{1/p}^2 M, Cholesky-factored in place
-        band = op.stiffness_band(1.0 / (p * p))
+        w = 1.0 / (p * p)
+        band = op.stiffness_band(w)
         pbtrf, pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
         band, info = pbtrf(band, lower=1, overwrite_ab=1)
         if info or not np.isfinite(band[0]).all():
             raise RuntimeError(
                 f"coarse band core has no finite Cholesky factor (pbtrf info {info})")
         mass = op.mass_full
+        refine = p.size > BAND_UNREFINED_MAX_DOF
 
         def solve(r):
             q = p if r.ndim == 1 else p[:, None]
-            z = pbtrs(band, mass @ (r / q), lower=1, overwrite_b=1)[0]
+            b = mass @ (r / q)
+            z = pbtrs(band, b, lower=1, overwrite_b=not refine)[0]
+            if refine:
+                # H squares the condition number of A, and the factor's
+                # rounding grows with it; one step of iterative refinement on
+                # the residual b - H z = c - A^2 z, c = b - M D^2 M z, brings
+                # G's residual back to roundoff
+                c = b - mass @ ((mass @ z) * (w if r.ndim == 1 else w[:, None]))
+                z += pbtrs(band, op.stiffness_residual(c, z), lower=1, overwrite_b=1)[0]
             return r - (mass @ z) / q
 
         return solve

@@ -296,7 +296,8 @@ class TestEllipticBuild:
 
 
 class TestStiffnessBand:
-    """The lower band of H = A^2 + M diag(w) M (the coarse Woodbury core).
+    """The lower band of H = A^2 + M diag(w) M (the coarse Woodbury core)
+    and the residual c - A^2 z that refines its solves.
 
     A is assembled densely from its sine diagonalization and M element by
     element; w is scaled by 1/h^4, so that both terms of H are of order 1.
@@ -325,6 +326,22 @@ class TestStiffnessBand:
         for d in range(kd + 1):
             ref[d, : size - d] = np.diagonal(H, -d)
         assert np.max(np.abs(band - ref)) <= 1e-13 * np.max(np.abs(H))
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_residual_is_c_minus_a_squared_z(self, n, rng):
+        level = build_hierarchy("dirichlet-square", n, 1).finest
+        op = elliptic_build(level)
+        s, lam = sine_diagonalization(n)
+        ss = np.kron(s, s)
+        A = ss @ (lam.ravel()[:, None] * ss)
+        size = level.n_dof
+        for shape in ((size,), (size, 3)):
+            c, z = rng.standard_normal((2, *shape))
+            ref = c - A @ (A @ z)
+            out = op.stiffness_residual(c, z)
+            assert out.shape == shape
+            assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert op.matvec_counter == 0
 
     def test_structureless_operators_have_none(self):
         level = build_hierarchy("periodic-interval", 16, 1).finest

@@ -227,6 +227,25 @@ class TestBuildPreconditioner:
             err = np.linalg.norm(z.reshape(n * n, -1) - ref) / np.linalg.norm(ref)
             assert err <= 1e-12
 
+    @pytest.mark.parametrize("top", [1e5, 1.0])
+    @pytest.mark.parametrize("n0", [32, 64])
+    def test_elliptic_coarse_residual_is_roundoff(self, n0, top, rng):
+        # lambda from beta where a smooth bump is low up to top elsewhere,
+        # as late in a solve: H = A^2 + M D^2 M leaves an unrefined solve
+        # with a G residual of 1e-13 to 3e-13 here (a dense LU: 2e-15)
+        beta = 1e-6
+        hier = build_hierarchy("dirichlet-square", n0, 2)
+        ops = [elliptic_build(lv, level_index=i) for i, lv in enumerate(hier.levels)]
+        x, y = node_coordinates(hier.finest)
+        bump = (np.sin(np.pi * x) * np.sin(np.pi * y)) ** 2
+        mg = build_preconditioner(hier, ops, NodalField(1, beta * (top / beta) ** bump), beta)
+        sys0 = mg.systems[0]
+        n = sys0.p.size
+        for r in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            z = mg.coarse_solve(r)
+            res = np.linalg.norm(r - g_apply(sys0, z), axis=0) / np.linalg.norm(r, axis=0)
+            assert np.max(res) <= 1e-14
+
     def test_elliptic_core_overflow_raises(self):
         # a subnormal lambda makes 1/p^2 overflow: the band's factor is not
         # finite, and the build stops with RuntimeError
