@@ -430,28 +430,26 @@ class EllipticOperator(ForwardOperator):
         # full (unrescaled) consistent mass = h^2 times the stored one
         self.mass_full = (level.h**2) * level.mass_matrix
 
+    def _in_sine_basis(self, x, scale):
+        """S scale(S X S) S on the m x m grid of an n-vector x, or on the k
+        stacked grids of an n x k block's columns; returned in x's shape."""
+        s = self._sine
+        g = x.reshape(s.shape) if x.ndim == 1 else x.T.reshape(-1, *s.shape)
+        y = s @ scale(s @ g @ s) @ s
+        return y.reshape(x.shape[::-1]).T
+
     def _negated_stiffness_solve(self, rhs):
         """-A^{-1} rhs; negation is exact, so these are the bits of -(A^{-1} rhs)."""
-        # the columns of an n x k block become k stacked m x m grids
-        s = self._sine
-        x = rhs.reshape(s.shape) if rhs.ndim == 1 else rhs.T.reshape(-1, *s.shape)
-        y = s @ ((s @ x @ s) / self._neg_eig) @ s
-        return y.reshape(rhs.shape[::-1]).T
+        return self._in_sine_basis(rhs, lambda y: y / self._neg_eig)
 
     def _apply(self, u):
         return self._negated_stiffness_solve(self.mass_full @ u)
 
     def stiffness_residual(self, c, z):
-        """c - A^2 z for two n-vectors or n x k blocks, formed in the sine
-        basis, where A^2 is the diagonal Lambda^2; it refines the coarse
-        band solves (see mgipm.precond)."""
-        s = self._sine
-        shape = s.shape if c.ndim == 1 else (c.shape[1], *s.shape)
-        cz = np.stack([x.reshape(shape) if x.ndim == 1 else x.T.reshape(shape)
-                       for x in (c, z)])
-        cz = s @ cz @ s
-        y = s @ (cz[0] - self._neg_eig**2 * cz[1]) @ s
-        return y.reshape(c.shape[::-1]).T
+        """c - A^2 z for two n-vectors or n x k blocks, with A^2 the diagonal
+        Lambda^2 in the sine basis; it refines the coarse band solves (see
+        mgipm.precond)."""
+        return c - self._in_sine_basis(z, lambda y: self._neg_eig**2 * y)
 
     def _apply_transpose(self, u):
         # A is symmetric, so K^T = -M A^{-1}

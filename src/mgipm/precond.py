@@ -49,11 +49,13 @@ __all__ = [
 COARSEST_SOLVERS = ("auto", "cg")
 
 # Largest coarse level whose band solve skips its refinement step (see
-# _exact_inverse), which makes a solve about 2.4 times as long.  Unrefined,
-# the G residual on 16 x 16 cells (225 dof) stays within 15 times a dense
-# LU's (at most 1e-13); on 32 x 32 cells it is up to 100 times (8e-13),
-# and late in a two-level solve on 128 x 128 cells (64 x 64 coarse) it
-# reaches 1e-11, on which the CGS around it can stall at krylov_maxit.
+# _exact_inverse).  The step makes a solve 2.2 to 2.4 times as long: 14 ->
+# 35 us on 16 x 16 cells (225 dof), which made a 2D 32/2 solve 27% slower
+# overall.  Unrefined, the G residual on 16 x 16 cells stays at most 2e-13
+# (refined: 1e-13 where G is stiffest); it grows with cond(A)^2, to 6e-13
+# on 32 x 32 cells, 3e-12 on 64 x 64 and 1e-11 late in a two-level solve
+# on 128 x 128 cells (64 x 64 coarse), on which the CGS around it can
+# stall at krylov_maxit.
 BAND_UNREFINED_MAX_DOF = 225
 
 
