@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -271,21 +272,33 @@ def _write_run(experiment, finest_n, levels, beta, result, out_dir):
     return RunArtifacts(outer_path, summary_path, solution_path)
 
 
-def run_parabolic(cfg):
-    """1D source identification: two-bump target, f = K u0, box bounds."""
-    hier, finest_n, levels = _hierarchy(cfg, "periodic-interval", 1024)
-    op_cfg = _parabolic_config(cfg, c1_default=1.0)
-    ops = [parabolic_build(lv, op_cfg, level_index=i)
-           for i, lv in enumerate(hier.levels)]
+def _run_control(cfg, experiment, kind, default_n, build, target, bounds, beta,
+                 options):
+    """One control experiment: hierarchy, operators, f = K u0, bounds, solve.
+
+    build(level, level_index=i) makes each level's operator, target maps the
+    finest node coordinates to u0, and bounds (lo, hi), beta and options
+    (IpmOptions fields) are the defaults that the config overrides.
+    """
+    hier, finest_n, levels = _hierarchy(cfg, kind, default_n)
+    ops = [build(lv, level_index=i) for i, lv in enumerate(hier.levels)]
     finest = hier.finest
-    x = node_coordinates(finest)
-    f_vals = ops[-1].apply(two_bump_target(x))
-    lo, hi = _bounds(cfg, finest.n_dof, 0.0, 1.0)
-    beta = cfg.get("beta", 1e-3)
-    result = solve(_problem(hier, ops, f_vals, beta, lo, hi), _ipm_options(cfg))
-    arts = _write_run("parabolic-1d", finest_n, levels, beta, result,
+    f_vals = ops[-1].apply(target(node_coordinates(finest)))
+    lo, hi = _bounds(cfg, finest.n_dof, *bounds)
+    beta = cfg.get("beta", beta)
+    result = solve(_problem(hier, ops, f_vals, beta, lo, hi),
+                   _ipm_options({**options, **cfg}))
+    arts = _write_run(experiment, finest_n, levels, beta, result,
                       cfg.get("output_dir", "."))
     return arts, result.converged
+
+
+def run_parabolic(cfg):
+    """1D source identification: two-bump target, f = K u0, box bounds."""
+    op_cfg = _parabolic_config(cfg, c1_default=1.0)
+    return _run_control(cfg, "parabolic-1d", "periodic-interval", 1024,
+                        partial(parabolic_build, config=op_cfg), two_bump_target,
+                        (0.0, 1.0), 1e-3, {})
 
 
 def run_elliptic(cfg):
@@ -296,19 +309,12 @@ def run_elliptic(cfg):
     O(1), and the active sets only pin to the bounds once mu is pushed to
     about 1e-15 of that.
     """
-    cfg.setdefault("mu_tol", 1e-15)
-    hier, finest_n, levels = _hierarchy(cfg, "dirichlet-square", 64)
-    ops = [elliptic_build(lv, level_index=i) for i, lv in enumerate(hier.levels)]
-    finest = hier.finest
-    x, y = node_coordinates(finest)
-    u0 = 1.5 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
-    f_vals = ops[-1].apply(u0)
-    lo, hi = _bounds(cfg, finest.n_dof, -1.0, 1.0)
-    beta = cfg.get("beta", 1e-6)
-    result = solve(_problem(hier, ops, f_vals, beta, lo, hi), _ipm_options(cfg))
-    arts = _write_run("elliptic-2d", finest_n, levels, beta, result,
-                      cfg.get("output_dir", "."))
-    return arts, result.converged
+    def target(xy):
+        x, y = xy
+        return 1.5 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
+
+    return _run_control(cfg, "elliptic-2d", "dirichlet-square", 64, elliptic_build,
+                        target, (-1.0, 1.0), 1e-6, {"mu_tol": 1e-15})
 
 
 def run_spectral_table(cfg):

@@ -17,10 +17,13 @@ the interval the interpolation is a two-point stencil, and the L2
 projection is one rfft, a two-term combination of modes with weights
 cached per level, and one irfft: its circulant mass matrices and the
 restriction appear only through their Fourier symbols.  On the square the
-interpolation is a sparse matrix J, and the projection restricts the
-mass-weighted field with 2^{-2} J^T and solves with the factorized coarse
 consistent mass matrix (rescaled by h^{-2}, so its entries are mesh-size
-free).
+free) and the restriction J^T are one seven-point stencil with different
+weights, on a node and its six edge neighbours E, W, N, S, NE and SW;
+_three_line builds both from one table of offsets.  The interpolation J and
+R = 2^{-2} J^T are cached as CSR on the fine level, and the projection
+restricts the mass-weighted field with R and solves with the factorized
+coarse mass matrix.
 """
 
 from __future__ import annotations
@@ -107,11 +110,24 @@ class GridLevel:
         mass symbol (see _projection_weights)."""
         if self.kind == KIND_PERIODIC:
             raise ValueError("the periodic interval has no assembled mass matrix")
-        return _mass_dirichlet(self.n_cells)
+        m = self.n_cells - 1
+        return _three_line(m, m, *_MASS_WEIGHTS, 1)
 
     @cached_property
     def _mass_lu(self):
         return splu(self.mass_matrix.tocsc())
+
+    @cached_property
+    def _transfers(self):
+        """(J, R): the interpolation onto this square level from the one
+        with half its cells, and the restriction R = 2^{-2} J^T, as CSR.
+
+        J^T is the three-line stencil with weights 1 and 1/2 at stride 2:
+        a coarse node gathers its coincident fine node and the six fine
+        edge midpoints around it.
+        """
+        jt = _three_line(self.n_cells // 2 - 1, self.n_cells - 1, 1.0, 0.5, 2)
+        return jt.T.tocsr(), (0.25 * jt).tocsr()
 
     @cached_property
     def _projection_weights(self):
@@ -149,17 +165,6 @@ class GridHierarchy:
     @property
     def finest(self):
         return self.levels[-1]
-
-    @cached_property
-    def _prolongations(self):
-        # sparse interpolation J from square level i to level i+1 (the
-        # interval uses its stencil)
-        return tuple(_prolong_matrix_dirichlet(lv.n_cells) for lv in self.levels[:-1])
-
-    @cached_property
-    def _restrictions(self):
-        # 2^{-2} J^T from level i+1 to level i, built once as CSR
-        return tuple((0.25 * J.T).tocsr() for J in self._prolongations)
 
 
 def build_hierarchy(kind, n0_cells, n_levels):
@@ -211,7 +216,7 @@ def prolong(hierarchy, u):
     if i >= hierarchy.n_levels - 1:
         raise ValueError(f"cannot prolong from the finest level (index {i})")
     if hierarchy.levels[i].kind != KIND_PERIODIC:
-        return NodalField(i + 1, hierarchy._prolongations[i] @ u.values)
+        return NodalField(i + 1, hierarchy.levels[i + 1]._transfers[0] @ u.values)
     v = u.values
     out = np.empty((2 * v.shape[0],) + v.shape[1:])
     out[0::2] = v
@@ -251,7 +256,7 @@ def l2_project(hierarchy, u):
         v *= beta
         v += alpha * modes[: nc // 2 + 1]
         return NodalField(i - 1, scipy.fft.irfft(v, nc, axis=0, overwrite_x=True))
-    rhs = hierarchy._restrictions[i - 1] @ (fine.mass_matrix @ u.values)
+    rhs = fine._transfers[1] @ (fine.mass_matrix @ u.values)
     return NodalField(i - 1, coarse._mass_lu.solve(rhs))
 
 
@@ -299,62 +304,37 @@ def discrete_w2inf(level, g):
 
 
 # ---------------------------------------------------------------------------
-# matrix builders
+# the square's stencils
 
-def _mass_dirichlet(n):
-    # rescaled stencil of the three-line triangulation: 1/2 on the diagonal,
-    # 1/12 on the six coupled neighbors (E, W, N, S, NE, SW)
-    m = n - 1
-    ix, iy = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    idx = (ix * m + iy).ravel()
-    rows = [idx]
-    cols = [idx]
-    vals = [np.full(idx.size, 0.5)]
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)):
-        jx = ix + dx
-        jy = iy + dy
-        ok = ((jx >= 0) & (jx < m) & (jy >= 0) & (jy < m)).ravel()
-        rows.append(idx[ok])
-        cols.append((jx * m + jy).ravel()[ok])
-        vals.append(np.full(ok.sum(), 1.0 / 12.0))
-    M = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m * m, m * m),
-    )
-    return M.tocsr()
+# the six neighbours (dx, dy) a node of the three-line triangulation shares
+# an edge with, x index first: E, W, N, S, then NE and SW across the cell
+# diagonals.  The first four are the five-point stiffness stencil's.
+_THREE_LINE_NEIGHBOURS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
+# centre and neighbour weights of the rescaled mass stencil
+_MASS_WEIGHTS = (0.5, 1.0 / 12.0)
 
 
-def _prolong_matrix_dirichlet(n):
-    # coarse n cells -> fine 2n cells on the square; fine interior node
-    # (a, b) (1-based) copies the coincident coarse node when a and b are
-    # both even, averages along a mesh edge otherwise; the odd-odd case sits
-    # on a cell diagonal and averages its two diagonal endpoints
-    nf = 2 * n - 1
-    nc = n - 1
-    a, b = np.meshgrid(np.arange(1, 2 * n), np.arange(1, 2 * n), indexing="ij")
-    a = a.ravel()
-    b = b.ravel()
-    fine_row = (a - 1) * nf + (b - 1)
-    rows = []
-    cols = []
-    vals = []
+def _three_line(m_out, m_in, centre, off, stride):
+    """CSR matrix of a three-line stencil from an m_in x m_in grid of
+    interior nodes to an m_out x m_out one (both x index slow).
 
-    def add(mask, ic, jc, w):
-        ok = mask & (ic >= 1) & (ic <= nc) & (jc >= 1) & (jc <= nc)
-        rows.append(fine_row[ok])
-        cols.append((ic[ok] - 1) * nc + (jc[ok] - 1))
-        vals.append(np.full(ok.sum(), w))
-
-    ae = a % 2 == 0
-    be = b % 2 == 0
-    add(ae & be, a // 2, b // 2, 1.0)
-    add(~ae & be, (a - 1) // 2, b // 2, 0.5)
-    add(~ae & be, (a + 1) // 2, b // 2, 0.5)
-    add(ae & ~be, a // 2, (b - 1) // 2, 0.5)
-    add(ae & ~be, a // 2, (b + 1) // 2, 0.5)
-    add(~ae & ~be, (a - 1) // 2, (b - 1) // 2, 0.5)
-    add(~ae & ~be, (a + 1) // 2, (b + 1) // 2, 0.5)
+    Output node (i, j) sits on input node (stride (i+1) - 1, stride (j+1) - 1)
+    and takes centre times its value plus off times each of its six
+    neighbours on the grid.  Stride 1 gives the rescaled mass matrix,
+    stride 2 the restriction J^T from a fine grid to the coarse one.
+    """
+    i, j = np.meshgrid(np.arange(m_out), np.arange(m_out), indexing="ij")
+    row = (i * m_out + j).ravel()
+    x0 = (stride * (i + 1) - 1).ravel()
+    y0 = (stride * (j + 1) - 1).ravel()
+    rows, cols, vals = [], [], []
+    for (dx, dy), w in (((0, 0), centre), *((o, off) for o in _THREE_LINE_NEIGHBOURS)):
+        x, y = x0 + dx, y0 + dy
+        ok = (x >= 0) & (x < m_in) & (y >= 0) & (y < m_in)
+        rows.append(row[ok])
+        cols.append((x * m_in + y)[ok])
+        vals.append(np.full(rows[-1].size, w))
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nf * nf, nc * nc),
+        shape=(m_out * m_out, m_in * m_in),
     ).tocsr()

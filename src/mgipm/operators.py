@@ -30,10 +30,12 @@ operator says of F: the coarse Woodbury inverse uses them, and nothing
 forms the n x r factor.
 
 The elliptic K^T K = M A^{-2} M has no low-rank factor, but its stiffness
-A and mass M are stencils: stiffness_band(w) gives the lower LAPACK band
-of A^2 + M diag(w) M (half-bandwidth 2 n_cells), summed from stencil
-products, for the coarse Woodbury inverse through the stiffness, and
-stiffness_residual(c, z) = c - A^2 z refines its solves.
+A and mass M are stencils on the grid's table of three-line neighbours
+(the mass on all six, the five-point A on E, W, N and S):
+stiffness_band(w) gives the lower LAPACK band of A^2 + M diag(w) M
+(half-bandwidth 2 n_cells), summed from stencil products, for the coarse
+Woodbury inverse through the stiffness, and stiffness_residual(c, z) =
+c - A^2 z refines its solves.
 """
 
 from __future__ import annotations
@@ -45,7 +47,12 @@ from math import ceil, isfinite, isqrt, log2
 import numpy as np
 import scipy.fft
 
-from mgipm.grid import KIND_DIRICHLET, KIND_PERIODIC
+from mgipm.grid import (
+    _MASS_WEIGHTS,
+    _THREE_LINE_NEIGHBOURS,
+    KIND_DIRICHLET,
+    KIND_PERIODIC,
+)
 
 __all__ = [
     "ForwardOperator",
@@ -488,13 +495,12 @@ class EllipticOperator(ForwardOperator):
         (or a(s) a(t) times 1; the middle slices of the padded source).
         """
         m = self.level.n_cells - 1
-        # the rescaled mass stencil of grid._mass_dirichlet times h^2, with
-        # the bits of mass_full
+        # the square's rescaled mass stencil times h^2, with the bits of
+        # mass_full; the stiffness couples the first four neighbours only
         h2 = self.level.h**2
-        diag, off = h2 * 0.5, h2 * (1.0 / 12.0)
-        neighbors = ((1, 0), (-1, 0), (0, 1), (0, -1))
-        mass = {(0, 0): diag, **{o: off for o in neighbors + ((1, 1), (-1, -1))}}
-        stiffness = {(0, 0): 4.0, **{o: -1.0 for o in neighbors}}
+        centre, off = (h2 * w for w in _MASS_WEIGHTS)
+        mass = {(0, 0): centre, **dict.fromkeys(_THREE_LINE_NEIGHBOURS, off)}
+        stiffness = {(0, 0): 4.0, **dict.fromkeys(_THREE_LINE_NEIGHBOURS[:4], -1.0)}
         terms = []
         for source, stencil in enumerate((mass, stiffness)):
             for (sx, sy), cs in stencil.items():

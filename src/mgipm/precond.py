@@ -15,16 +15,23 @@ The coarsest inverse follows the operator's structure.  Where K^T K has
 a factor F (K^T K = F F^T, the operator's normal_rank r is not None),
 G = I + B B^T with B = D_{1/p} F is inverted by the Woodbury identity
 through the operator's normal_project (F^T y), normal_expand (F z) and
-normal_gram (F^T diag(w) F): only an r x r Cholesky factor is stored, and
-F is never formed.  Where K = -A^{-1} M with sparse A and M (the
-operator's stiffness_band is not None), G = I + Z^T Z with
+normal_gram (F^T diag(w) F): the set-up Cholesky-factors the r x r core
+I_r + normal_gram(1/p^2) = I_r + B^T B, and a solve is
+r - normal_expand(core^{-1} normal_project(r/p))/p.  Only the core is
+stored, and F is never formed.  Where K = -A^{-1} M with sparse A and M
+(the operator's stiffness_band is not None), G = I + Z^T Z with
 Z = A^{-1} M D_{1/p}, and the Woodbury identity gives
 G^{-1} = I - D_{1/p} M H^{-1} M D_{1/p} with the banded
-H = A^2 + M D_{1/p}^2 M, Cholesky-factored in band storage; H squares
-the condition number of A, so above BAND_UNREFINED_MAX_DOF each solve
-takes one step of iterative refinement.  Both are exact to roundoff at
+H = stiffness_band(1/p^2) = A^2 + M D_{1/p}^2 M (half-bandwidth
+2 n_cells): the set-up factors H in band storage in place (LAPACK
+pbtrf), and a solve is r - M pbtrs(H, M (r/p))/p.  H squares the
+condition number of A, so above BAND_UNREFINED_MAX_DOF nodes the pbtrs
+result takes one step of iterative refinement, with H's residual formed
+by the operator's stiffness_residual.  Both are exact to roundoff at
 every size (a relative G residual of at most 2e-13 measured).  Only an
-operator with neither structure has its coarsest G LU-factored densely.
+operator with neither structure (the dense test operators) has its
+coarsest G assembled from its normal_matrix (K^T K, materialized once
+per operator, since it does not depend on lambda) and LU-factored.
 """
 
 from __future__ import annotations
@@ -110,31 +117,18 @@ def build_preconditioner(hierarchy, operators, lam, beta, coarsest_solver="auto"
     first.  lam lives on the finest level and is moved down by discarding
     fine-node values; every level must keep lambda >= beta > 0.
 
-    The coarse inverse is fixed here, from the coarsest operator's
-    structure.  Under "auto" it is exact to roundoff.  When K^T K has a
-    factor F (K^T K = F F^T, the operator's normal_rank r is not None), it
-    is the Woodbury identity on G = I + B B^T with
-    B = D_{1/p} F: per call, a Cholesky factor of
-    I_r + normal_gram(1/p^2) = I_r + B^T B; per solve,
-    r - normal_expand(core^{-1} normal_project(r/p))/p.  F itself is not
-    built, and nothing n0 x r is stored (the parabolic operator computes
-    all three from its Fourier band).  A core that lambda near 0 leaves
-    indefinite to roundoff, or not finite (1/p^2 overflows), raises
-    RuntimeError.
-    When K = -A^{-1} M (the operator's stiffness_band is not None), it is
-    the Woodbury identity on G = I + Z^T Z with Z = A^{-1} M D_{1/p}: per
-    call, LAPACK's pbtrf factors the lower band of
-    H = stiffness_band(1/p^2) = A^2 + M D_{1/p}^2 M (half-bandwidth
-    2 n_cells) in place; per solve, r - M pbtrs(H, M (r/p)) / p, where
-    on levels of more than BAND_UNREFINED_MAX_DOF nodes the pbtrs result
-    takes one refinement step on H's residual (the operator's
-    stiffness_residual).  A band whose factor is not finite (1/p^2
-    overflows) raises RuntimeError.
-    An operator with neither structure (the dense test operators) has G
-    assembled from its normal_matrix (K^T K, materialized once per
-    operator since it does not depend on lambda) and LU-factored.
-    Under "cg" each coarse solve runs unpreconditioned CG to a relative
-    residual of 1e-10 instead.
+    The coarse inverse is fixed here.  Under "auto" it is exact to
+    roundoff and follows the coarsest operator's structure, as the module
+    docstring describes: the Woodbury core when its normal_rank is not
+    None, else the band when its stiffness_band is not None, else a dense
+    LU.  Under "cg" each coarse solve runs unpreconditioned CG to a
+    relative residual of 1e-10 instead.
+
+    Raises ValueError for a wrong operator count, fewer than two levels,
+    an unknown coarsest_solver, lambda off the finest level, or lambda
+    below beta.  Raises RuntimeError when the Woodbury core or the band
+    has no finite Cholesky factor (lambda near 0 leaves the core
+    indefinite to roundoff, or 1/p^2 overflows).
     """
     if len(operators) != hierarchy.n_levels:
         raise ValueError(
@@ -177,7 +171,7 @@ def _coarse_cg(sys, r):
 
 
 def _exact_inverse(sys):
-    """r -> G^{-1} r for one level, exact to roundoff (see build_preconditioner)."""
+    """r -> G^{-1} r for one level, exact to roundoff (see the module docstring)."""
     # the solves call LAPACK directly: cho_solve and lu_solve add a
     # finiteness scan and shape checks worth about 8 us a call, and a
     # non-finite r ends as a non-finite result, which the Krylov solvers
@@ -185,8 +179,6 @@ def _exact_inverse(sys):
     op = sys.operator
     p = sys.p
     if op.normal_rank is not None:
-        # G = I + B B^T with B = D_{1/p} F, and B^T B = F^T diag(1/p^2) F:
-        # only r x r numbers are stored
         core = op.normal_gram(1.0 / (p * p))
         if not core.size:
             return np.copy  # K^T K = 0, so G = I (and LAPACK takes no 0 x 0)
@@ -204,9 +196,6 @@ def _exact_inverse(sys):
 
         return solve
     if op.stiffness_band is not None:
-        # K = -A^{-1} M, so G = I + Z^T Z with Z = A^{-1} M D_{1/p}, and
-        # Woodbury gives G^{-1} = I - D_{1/p} M H^{-1} M D_{1/p} with the
-        # banded H = A^2 + M D_{1/p}^2 M, Cholesky-factored in place
         w = 1.0 / (p * p)
         band = op.stiffness_band(w)
         pbtrf, pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
@@ -222,10 +211,7 @@ def _exact_inverse(sys):
             b = mass @ (r / q)
             z = pbtrs(band, b, lower=1, overwrite_b=not refine)[0]
             if refine:
-                # H squares the condition number of A, and the factor's
-                # rounding grows with it; one step of iterative refinement on
-                # the residual b - H z = c - A^2 z, c = b - M D^2 M z, brings
-                # G's residual back to roundoff
+                # b - H z = c - A^2 z with c = b - M D^2 M z
                 c = b - mass @ ((mass @ z) * (w if r.ndim == 1 else w[:, None]))
                 z += pbtrs(band, op.stiffness_residual(c, z), lower=1, overwrite_b=1)[0]
             return r - (mass @ z) / q

@@ -142,11 +142,12 @@ def prolong_matrix_dirichlet(nc):
     Fine nodes with both indices even sit on coarse nodes; odd/even nodes
     sit on axis edges; odd/odd nodes sit on the slope-one diagonals, so
     they average the two diagonal endpoints.  Out-of-range coarse indices
-    carry the zero boundary value.
+    carry the zero boundary value.  Sparse, entry by entry, so that large
+    grids stay cheap.
     """
     mf = 2 * nc - 1
     mc = nc - 1
-    J = np.zeros((mf * mf, mc * mc))
+    J = sp.dok_matrix((mf * mf, mc * mc))
 
     def coarse(ixc, iyc, row, wgt):
         if 1 <= ixc <= mc and 1 <= iyc <= mc:
@@ -167,7 +168,7 @@ def prolong_matrix_dirichlet(nc):
             else:
                 coarse((fx - 1) // 2, (fy - 1) // 2, row, 0.5)
                 coarse((fx + 1) // 2, (fy + 1) // 2, row, 0.5)
-    return J
+    return J.tocsr()
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,19 @@ class TestRunElliptic:
         assert np.sqrt(float(level.weights @ (u * u))) <= 1e-4
 
 
+class TestRunnersLeaveTheConfig:
+    @pytest.mark.parametrize("runner, experiment", [
+        (run_parabolic, "parabolic-1d"), (run_elliptic, "elliptic-2d"),
+    ])
+    def test_config_is_unchanged(self, tmp_path, runner, experiment):
+        # defaults such as the elliptic mu_tol are read, never written back
+        cfg = {"experiment": experiment, "finest_n": 16, "levels": 1,
+               "output_dir": str(tmp_path)}
+        before = dict(cfg)
+        runner(cfg)
+        assert cfg == before
+
+
 class TestRunSpectralTable:
     def test_small_table_layout(self, tmp_path):
         cfg = {"experiment": "spectral-table", "h_list": (1 / 16, 1 / 32),

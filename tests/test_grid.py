@@ -169,11 +169,16 @@ class TestProlong:
         assert peak_vectors(lambda: prolong(hier, u), size) <= 1.05
 
     def test_matches_geometric_matrix_2d(self, rng):
-        hier = build_hierarchy("dirichlet-square", 8, 2)
-        J = prolong_matrix_dirichlet(8)
-        u = rng.standard_normal(49)
-        out = prolong(hier, NodalField(0, u))
-        assert_allclose(out.values, J @ u, rtol=1e-14, atol=1e-15)
+        # J's entries are 1 and 1/2 with at most two per row, so J u has
+        # the same bits in any summation order; vectors and blocks
+        for n0 in (4, 8, 16, 64):
+            hier = build_hierarchy("dirichlet-square", n0, 2)
+            J = prolong_matrix_dirichlet(n0)
+            nc = hier.levels[0].n_dof
+            for u in (rng.standard_normal(nc), rng.standard_normal((nc, 3))):
+                out = prolong(hier, NodalField(0, u)).values
+                assert out.shape == (hier.levels[1].n_dof, *u.shape[1:])
+                assert_array_equal(out, J @ u)
 
     def test_finest_level_rejected(self):
         hier = build_hierarchy("periodic-interval", 4, 2)
@@ -244,10 +249,12 @@ class TestMassApply:
         assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
     def test_matches_element_assembly_2d(self, rng):
-        level = build_hierarchy("dirichlet-square", 8, 1).finest
-        M = mass_matrix_dirichlet(8).toarray() / level.h ** 2
-        u = rng.standard_normal(49)
-        assert_allclose(level.mass_matrix @ u, M @ u, rtol=1e-13, atol=1e-14)
+        for n in (4, 8, 16, 64):
+            level = build_hierarchy("dirichlet-square", n, 1).finest
+            M = mass_matrix_dirichlet(n) / level.h ** 2
+            for u in (rng.standard_normal(level.n_dof),
+                      rng.standard_normal((level.n_dof, 3))):
+                assert_allclose(level.mass_matrix @ u, M @ u, rtol=1e-13, atol=1e-14)
 
 
 class TestL2Project:
