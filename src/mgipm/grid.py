@@ -23,7 +23,8 @@ weights, on a node and its six edge neighbours E, W, N, S, NE and SW;
 _three_line builds both from one table of offsets.  The interpolation J and
 R = 2^{-2} J^T are cached as CSR on the fine level, and the projection
 restricts the mass-weighted field with R and solves with the factorized
-coarse mass matrix.
+coarse mass matrix.  Every product with these CSR matrices, the operators'
+and the coarse solve's included, goes through csr_apply.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from functools import cached_property
 import numpy as np
 import scipy.fft
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
 __all__ = [
@@ -47,6 +49,7 @@ __all__ = [
     "l2_project",
     "coarsen_lambda",
     "discrete_w2inf",
+    "csr_apply",
 ]
 
 KIND_PERIODIC = "periodic-interval"
@@ -210,13 +213,14 @@ def prolong(hierarchy, u):
     On the interval this is the stencil out[2i] = u_i and
     out[2i+1] = (u_i + u_{i+1 mod n})/2, written into the output with no
     other temporary; halving is exact, so it has the bits of the sparse
-    J u.  On the square it is the sparse J u.
+    J u.  On the square it is the sparse J u, by csr_apply.
     """
     i = u.level_index
     if i >= hierarchy.n_levels - 1:
         raise ValueError(f"cannot prolong from the finest level (index {i})")
     if hierarchy.levels[i].kind != KIND_PERIODIC:
-        return NodalField(i + 1, hierarchy.levels[i + 1]._transfers[0] @ u.values)
+        interpolation = hierarchy.levels[i + 1]._transfers[0]
+        return NodalField(i + 1, csr_apply(interpolation, u.values))
     v = u.values
     out = np.empty((2 * v.shape[0],) + v.shape[1:])
     out[0::2] = v
@@ -237,7 +241,7 @@ def l2_project(hierarchy, u):
     Pi u = irfft(alpha_k u_k + beta_k conj(u_{n_c - k}), n_c) for
     k <= n_c/2, with u_k the rfft modes of u (see
     GridLevel._projection_weights).  On the square R M_f u, with
-    R = 2^{-2} J^T, is formed sparsely and solved with the factorized
+    R = 2^{-2} J^T, is formed by csr_apply and solved with the factorized
     coarse mass matrix.
     """
     i = u.level_index
@@ -256,8 +260,34 @@ def l2_project(hierarchy, u):
         v *= beta
         v += alpha * modes[: nc // 2 + 1]
         return NodalField(i - 1, scipy.fft.irfft(v, nc, axis=0, overwrite_x=True))
-    rhs = fine._transfers[1] @ (fine.mass_matrix @ u.values)
+    rhs = csr_apply(fine._transfers[1], csr_apply(fine.mass_matrix, u.values))
     return NodalField(i - 1, coarse._mass_lu.solve(rhs))
+
+
+def csr_apply(a, x):
+    """a @ x for a float64 CSR matrix a and an n-vector or n x k block x.
+
+    It calls the kernel that scipy.sparse's own product ends in (csr_matvec,
+    or csr_matvecs on the C-ordered block) on a fresh zero output, as
+    _matmul_vector and _matmul_multivector do, so the result has the bits
+    of a @ x; it skips the per-call dispatch, which on the square's small
+    levels costs about as much as the product.  An n x 1 block is a vector
+    to scipy, and so to this.  Raises ValueError when x has not n rows (the
+    kernels would read past it).
+    """
+    m, n = a.shape
+    if x.shape[0] != n:
+        raise ValueError(f"csr_apply: {m} x {n} matrix, {x.shape[0]} rows in x")
+    if x.ndim == 1:
+        out = np.zeros(m)
+        _sparsetools.csr_matvec(m, n, a.indptr, a.indices, a.data, x, out)
+        return out
+    if x.shape[1] == 1:
+        return csr_apply(a, x.ravel()).reshape(m, 1)
+    out = np.zeros((m, x.shape[1]))
+    _sparsetools.csr_matvecs(m, n, x.shape[1], a.indptr, a.indices, a.data,
+                             x.ravel(), out.ravel())
+    return out
 
 
 def coarsen_lambda(hierarchy, lam):

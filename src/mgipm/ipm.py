@@ -155,8 +155,10 @@ def _values(state, *fields):
 
 
 def _check_feasible(u, v1, v2, lo, hi):
-    if not (np.all(u > lo) and np.all(u < hi)):
-        raise ValueError("iterate violates the bounds")
+    if not np.all(u > lo):
+        raise ValueError("iterate violates the lower bound")
+    if not np.all(u < hi):
+        raise ValueError("iterate violates the upper bound")
     if not (np.all(v1 > 0.0) and np.all(v2 > 0.0)):
         raise ValueError("multipliers must stay strictly positive")
 
@@ -367,7 +369,15 @@ def solve(prob, opts=None):
                          0.0, it)
         del u, v1, v2, du, dv1, dv2, r_v1c, r_v2c
         mu = state.mu = compute_mu(state, lo, hi)
-        r_u, r_v1, r_v2, norms = kkt_residuals(prob, state, ktwf)
+        try:
+            r_u, r_v1, r_v2, norms = kkt_residuals(prob, state, ktwf)
+        except ValueError as exc:
+            # the step lengths keep the exact update strictly feasible; only
+            # its rounding lands on a bound, once a gap falls below the
+            # spacing of floats there (8.9e-16 at 5) as mu is driven down
+            raise RuntimeError(
+                f"outer iteration {it}: {exc} after rounding the step (mu {mu:.2e})"
+            ) from exc
         records.append(OuterIterationRecord(
             iteration=it,
             mu=mu,

@@ -52,6 +52,7 @@ from mgipm.grid import (
     _THREE_LINE_NEIGHBOURS,
     KIND_DIRICHLET,
     KIND_PERIODIC,
+    csr_apply,
 )
 
 __all__ = [
@@ -450,7 +451,7 @@ class EllipticOperator(ForwardOperator):
         return self._in_sine_basis(rhs, lambda y: y / self._neg_eig)
 
     def _apply(self, u):
-        return self._negated_stiffness_solve(self.mass_full @ u)
+        return self._negated_stiffness_solve(csr_apply(self.mass_full, u))
 
     def stiffness_residual(self, c, z):
         """c - A^2 z for two n-vectors or n x k blocks, with A^2 the diagonal
@@ -460,7 +461,7 @@ class EllipticOperator(ForwardOperator):
 
     def _apply_transpose(self, u):
         # A is symmetric, so K^T = -M A^{-1}
-        return self.mass_full @ self._negated_stiffness_solve(u)
+        return csr_apply(self.mass_full, self._negated_stiffness_solve(u))
 
     def stiffness_band(self, w):
         """Lower LAPACK band of H = A^2 + M diag(w) M for an n-vector w.

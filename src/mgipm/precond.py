@@ -24,14 +24,15 @@ Z = A^{-1} M D_{1/p}, and the Woodbury identity gives
 G^{-1} = I - D_{1/p} M H^{-1} M D_{1/p} with the banded
 H = stiffness_band(1/p^2) = A^2 + M D_{1/p}^2 M (half-bandwidth
 2 n_cells): the set-up factors H in band storage in place (LAPACK
-pbtrf), and a solve is r - M pbtrs(H, M (r/p))/p.  H squares the
-condition number of A, so above BAND_UNREFINED_MAX_DOF nodes the pbtrs
-result takes one step of iterative refinement, with H's residual formed
-by the operator's stiffness_residual.  Both are exact to roundoff at
-every size (a relative G residual of at most 2e-13 measured).  Only an
-operator with neither structure (the dense test operators) has its
-coarsest G assembled from its normal_matrix (K^T K, materialized once
-per operator, since it does not depend on lambda) and LU-factored.
+pbtrf), and a solve is r - M pbtrs(H, M (r/p))/p, its products with the
+CSR M made by grid.csr_apply.  H squares the condition number of A, so
+above BAND_UNREFINED_MAX_DOF nodes the pbtrs result takes one step of
+iterative refinement, with H's residual formed by the operator's
+stiffness_residual.  Both are exact to roundoff at every size (a
+relative G residual of at most 2e-13 measured).  Only an operator with
+neither structure (the dense test operators) has its coarsest G
+assembled from its normal_matrix (K^T K, materialized once per operator,
+since it does not depend on lambda) and LU-factored.
 """
 
 from __future__ import annotations
@@ -42,7 +43,14 @@ from functools import partial
 import numpy as np
 import scipy.linalg as sla
 
-from mgipm.grid import GridHierarchy, NodalField, coarsen_lambda, l2_project, prolong
+from mgipm.grid import (
+    GridHierarchy,
+    NodalField,
+    coarsen_lambda,
+    csr_apply,
+    l2_project,
+    prolong,
+)
 from mgipm.krylov import cg
 
 __all__ = [
@@ -56,13 +64,13 @@ __all__ = [
 COARSEST_SOLVERS = ("auto", "cg")
 
 # Largest coarse level whose band solve skips its refinement step (see
-# _exact_inverse).  The step makes a solve 2.2 to 2.4 times as long: 14 ->
-# 35 us on 16 x 16 cells (225 dof), which made a 2D 32/2 solve 27% slower
-# overall.  Unrefined, the G residual on 16 x 16 cells stays at most 2e-13
-# (refined: 1e-13 where G is stiffest); it grows with cond(A)^2, to 6e-13
-# on 32 x 32 cells, 3e-12 on 64 x 64 and 1e-11 late in a two-level solve
-# on 128 x 128 cells (64 x 64 coarse), on which the CGS around it can
-# stall at krylov_maxit.
+# _exact_inverse).  The step makes a solve 2.2 to 2.5 times as long: 12 ->
+# 30 us on 16 x 16 cells (225 dof; 14 -> 35 us before csr_apply), which
+# made a 2D 32/2 solve 27% slower overall.  Unrefined, the G residual on
+# 16 x 16 cells stays at most 2e-13 (refined: 1e-13 where G is stiffest);
+# it grows with cond(A)^2, to 6e-13 on 32 x 32 cells, 3e-12 on 64 x 64 and
+# 1e-11 late in a two-level solve on 128 x 128 cells (64 x 64 coarse), on
+# which the CGS around it can stall at krylov_maxit.
 BAND_UNREFINED_MAX_DOF = 225
 
 
@@ -208,13 +216,14 @@ def _exact_inverse(sys):
 
         def solve(r):
             q = p if r.ndim == 1 else p[:, None]
-            b = mass @ (r / q)
+            b = csr_apply(mass, r / q)
             z = pbtrs(band, b, lower=1, overwrite_b=not refine)[0]
             if refine:
                 # b - H z = c - A^2 z with c = b - M D^2 M z
-                c = b - mass @ ((mass @ z) * (w if r.ndim == 1 else w[:, None]))
+                d2mz = csr_apply(mass, z) * (w if r.ndim == 1 else w[:, None])
+                c = b - csr_apply(mass, d2mz)
                 z += pbtrs(band, op.stiffness_residual(c, z), lower=1, overwrite_b=1)[0]
-            return r - (mass @ z) / q
+            return r - csr_apply(mass, z) / q
 
         return solve
     # no structure: one Fortran-ordered array, scaled and LU-factored in place

@@ -3,11 +3,13 @@
 import csv
 import math
 import os
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from mgipm import precond
 from mgipm.cli import (
     _SCHEMA,
     ConfigError,
@@ -19,7 +21,7 @@ from mgipm.cli import (
     run_spectral_table,
     two_bump_target,
 )
-from mgipm.grid import build_hierarchy
+from mgipm.grid import build_hierarchy, csr_apply
 from mgipm.ipm import IpmOptions
 
 
@@ -276,6 +278,37 @@ class TestRunElliptic:
         assert np.sqrt(float(level.weights @ (u * u))) <= 1e-4
 
 
+class TestScipyProductOracle:
+    @pytest.mark.parametrize("levels, refine_above", [(2, None), (3, None), (2, 0)],
+                             ids=["16/2", "16/3", "16/2-refined"])
+    def test_csr_apply_keeps_the_bits_of_scipy_products(self, tmp_path, monkeypatch,
+                                                        levels, refine_above):
+        # the whole solve, run once as shipped and once with every csr_apply
+        # replaced by scipy's own a @ x, in one process (so on one BLAS
+        # thread count).  beta = 1e-5, as at the default beta both stop at
+        # outer iteration 5 and write no CSV
+        if refine_above is not None:
+            # every band solve takes its refinement step
+            monkeypatch.setattr(precond, "BAND_UNREFINED_MAX_DOF", refine_above)
+        cfg = {"experiment": "elliptic-2d", "finest_n": 16, "levels": levels,
+               "beta": 1e-5}
+
+        def csvs(out):
+            _, converged = run_elliptic({**cfg, "output_dir": str(out)})
+            assert converged
+            return {p.name: p.read_bytes() for p in out.glob("*.csv")}
+
+        shipped = csvs(tmp_path / "shipped")
+        patched = set()
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mgipm") and getattr(module, "csr_apply", None) is csr_apply:
+                monkeypatch.setattr(module, "csr_apply", lambda a, x: a @ x)
+                patched.add(name)
+        assert {"mgipm.grid", "mgipm.operators", "mgipm.precond"} <= patched
+        assert len(shipped) == 3
+        assert csvs(tmp_path / "scipy") == shipped
+
+
 class TestRunnersLeaveTheConfig:
     @pytest.mark.parametrize("runner, experiment", [
         (run_parabolic, "parabolic-1d"), (run_elliptic, "elliptic-2d"),
@@ -375,6 +408,23 @@ class TestMain:
         assert err.startswith(
             f"solver error: {path}: inner predictor solve failed at outer iteration 12 "
             "(relative residual")
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_bounds_away_from_zero_stop_with_reason(self, tmp_path, capsys, levels):
+        # floats are 8.9e-16 apart at lo = 5; as mu is driven toward
+        # mu_tol * mu0 = 5e-16 a gap falls below that spacing, and the
+        # rounded step lands u on the lower bound at outer iteration 6
+        path = write_config(
+            tmp_path,
+            f"experiment = elliptic-2d\nfinest_n = 16\nlevels = {levels}\n"
+            f"lo = 5\nhi = 6\noutput_dir = {tmp_path}\n",
+        )
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(
+            f"solver error: {path}: outer iteration 6: iterate violates the lower bound")
         assert len(err.splitlines()) == 1
         assert not list(tmp_path.glob("*.csv"))
 

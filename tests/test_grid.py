@@ -18,11 +18,13 @@ from mgipm.grid import (
     NodalField,
     build_hierarchy,
     coarsen_lambda,
+    csr_apply,
     discrete_w2inf,
     l2_project,
     node_coordinates,
     prolong,
 )
+from mgipm.operators import elliptic_build
 
 
 class TestBuildHierarchy:
@@ -255,6 +257,50 @@ class TestMassApply:
             for u in (rng.standard_normal(level.n_dof),
                       rng.standard_normal((level.n_dof, 3))):
                 assert_allclose(level.mass_matrix @ u, M @ u, rtol=1e-13, atol=1e-14)
+
+
+class TestCsrApply:
+    """csr_apply calls scipy's private CSR kernels; its results must keep the
+    bits of a @ x, so a scipy that changes those kernels fails here."""
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 64])
+    @pytest.mark.parametrize("name", ["mass_matrix", "mass_full", "J", "R"])
+    def test_bits_of_scipy_product(self, n, name, rng):
+        # at n = 4, J interpolates from the 1-node grid of 2 cells
+        level = GridLevel("dirichlet-square", n)
+        a = {
+            "mass_matrix": lambda: level.mass_matrix,
+            "mass_full": lambda: elliptic_build(level).mass_full,
+            "J": lambda: level._transfers[0],
+            "R": lambda: level._transfers[1],
+        }[name]()
+        cols = a.shape[1]
+        block = rng.standard_normal((cols, 3))
+        wide = rng.standard_normal((cols, 7))
+        inputs = {
+            "vector": rng.standard_normal(cols),
+            "C block": block,
+            "F block": np.asfortranarray(block),
+            "n x 1 block": wide[:, 3:4],
+            "strided vector": wide[:, 2],
+            "strided block": wide[:, ::2],
+            "int vector": np.arange(cols) - cols // 2,
+            "int block": np.arange(3 * cols).reshape(cols, 3) - cols,
+        }
+        for label, x in inputs.items():
+            before = x.copy(order="K")
+            out = csr_apply(a, x)
+            want = a @ x
+            assert out.dtype == want.dtype and out.shape == want.shape, label
+            assert out.tobytes() == want.tobytes(), label
+            assert x.tobytes() == before.tobytes(), label
+
+    @pytest.mark.parametrize("shape", [(48,), (50, 3)])
+    def test_wrong_row_count_is_rejected(self, shape):
+        # the kernels do not check lengths; a short x would be read past its end
+        mass = GridLevel("dirichlet-square", 8).mass_matrix
+        with pytest.raises(ValueError, match="49 x 49 matrix"):
+            csr_apply(mass, np.zeros(shape))
 
 
 class TestL2Project:
