@@ -16,7 +16,9 @@ the geometry's structure, and only the square builds sparse matrices.  On
 the interval the interpolation is a two-point stencil, and the L2
 projection is one rfft, a two-term combination of modes with weights
 cached per level, and one irfft: its circulant mass matrices and the
-restriction appear only through their Fourier symbols.  On the square the
+restriction appear only through their Fourier symbols.  Every FFT on the
+interval, the parabolic operator's included, goes through rfft and irfft.
+On the square the
 consistent mass matrix (rescaled by h^{-2}, so its entries are mesh-size
 free) and the restriction J^T are one seven-point stencil with different
 weights, on a node and its six edge neighbours E, W, N, S, NE and SW;
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 import scipy.sparse as sp
+from scipy.fft._pocketfft import pypocketfft as _pocketfft
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
@@ -50,6 +52,8 @@ __all__ = [
     "coarsen_lambda",
     "discrete_w2inf",
     "csr_apply",
+    "rfft",
+    "irfft",
 ]
 
 KIND_PERIODIC = "periodic-interval"
@@ -254,12 +258,12 @@ def l2_project(hierarchy, u):
         alpha, beta = fine._projection_weights
         if u.values.ndim == 2:
             alpha, beta = alpha[:, None], beta[:, None]
-        modes = scipy.fft.rfft(u.values, axis=0)
+        modes = rfft(u.values)
         # modes n_c - k for k = 0..n_c//2, the aliases of modes n_c + k
         v = np.conjugate(modes[nc - nc // 2: nc + 1][::-1])
         v *= beta
         v += alpha * modes[: nc // 2 + 1]
-        return NodalField(i - 1, scipy.fft.irfft(v, nc, axis=0, overwrite_x=True))
+        return NodalField(i - 1, irfft(v, nc))
     rhs = csr_apply(fine._transfers[1], csr_apply(fine.mass_matrix, u.values))
     return NodalField(i - 1, coarse._mass_lu.solve(rhs))
 
@@ -288,6 +292,31 @@ def csr_apply(a, x):
     _sparsetools.csr_matvecs(m, n, x.shape[1], a.indptr, a.indices, a.data,
                              x.ravel(), out.ravel())
     return out
+
+
+def rfft(x, axis=0):
+    """scipy.fft.rfft(x, axis=axis) for a float64 array x.
+
+    It calls the pocketfft kernel that scipy.fft.rfft ends in (r2c with the
+    default norm, on one worker), so the result has its bits; it skips the
+    per-call argument handling, about 3 us of a 6-19 us transform at
+    lengths 1024 to 4096.
+    """
+    return _pocketfft.r2c(x, (axis,), True, 0, None, 1)
+
+
+def irfft(v, n, axis=0):
+    """scipy.fft.irfft(v, n, axis=axis) for a complex128 array v with
+    n//2 + 1 entries along axis, by the kernel scipy ends in (c2r, scaled
+    by 1/n, on one worker), as rfft does.  v is left as it is.  Raises
+    ValueError for any other length along axis, which scipy would crop or
+    pad.
+    """
+    if v.shape[axis] != n // 2 + 1:
+        raise ValueError(
+            f"irfft: {v.shape[axis]} modes along axis {axis}, expected {n // 2 + 1}"
+        )
+    return _pocketfft.c2r(v, (axis,), n, False, 2, None, 1)
 
 
 def coarsen_lambda(hierarchy, lam):

@@ -45,7 +45,6 @@ from functools import cached_property
 from math import ceil, isfinite, isqrt, log2
 
 import numpy as np
-import scipy.fft
 
 from mgipm.grid import (
     _MASS_WEIGHTS,
@@ -53,6 +52,8 @@ from mgipm.grid import (
     KIND_DIRICHLET,
     KIND_PERIODIC,
     csr_apply,
+    irfft,
+    rfft,
 )
 
 __all__ = [
@@ -264,7 +265,7 @@ class ParabolicOperator(ForwardOperator):
         k = np.concatenate([keep, keep[paired]])
         s = np.concatenate([scale, scale[paired]])
         phi = np.where(np.arange(k.size) < keep.size, 1.0, -1.0j)
-        w_hat = scipy.fft.rfft(w)
+        w_hat = rfft(w)
 
         def conj_w_hat(m):
             # w is real: w_hat(-m) = w_hat(n - m) = conj w_hat(m)
@@ -296,13 +297,15 @@ class ParabolicOperator(ForwardOperator):
         # eigenvalues of a circulant with first row r are sum_m r[m] w^{mk},
         # i.e. the conjugate FFT of the row; K is real, so the modes
         # k = 0..n//2 hold it all (mode n-k is the conjugate of mode k)
-        m_hat, s_hat = np.conj(scipy.fft.rfft(self._first_rows, axis=1))
+        m_hat, s_hat = np.conj(rfft(self._first_rows, axis=1))
         half = 0.5 * self.dt * s_hat
         step = (m_hat - half) / (m_hat + half)
         # |symbol| = |step|^n_steps, so mode k is kept when
         # n_steps log(|step_k| / max|step|) > log eps; only those are raised
         mag = np.abs(step)
-        cut = mag.max() * _EPS ** (1.0 / self.n_steps)
+        # past n_steps of about 6e17, eps^(1/n_steps) rounds to 1; the cut
+        # then stays just below the maximum, so the modes at it are kept
+        cut = min(mag.max() * _EPS ** (1.0 / self.n_steps), np.nextafter(mag.max(), 0.0))
         # a band that keeps the last mode needs no search (c1 = 2 keeps all)
         kmax = mag.size - 1 if mag[-1] > cut else int(np.flatnonzero(mag > cut)[-1])
         symbol = step[: kmax + 1] ** self.n_steps
@@ -360,7 +363,7 @@ class ParabolicOperator(ForwardOperator):
         """
         split = self._band[1]
         if split is None or u.ndim == 2:
-            return scipy.fft.rfft(u, axis=0)
+            return rfft(u)
         table, twiddle, _, _ = split
         # entry (b, l) of x is u[b L + l].  Column l's B-point sums for the
         # kept modes come out of one GEMM as L x (kmax + 1) complex numbers;
@@ -377,7 +380,7 @@ class ParabolicOperator(ForwardOperator):
         split = self._band[1]
         if split is None or v.ndim == 2:
             v[self._band[0].shape[0]:] = 0.0
-            return scipy.fft.irfft(v, n, axis=0, overwrite_x=True)
+            return irfft(v, n)
         table, _, back, weight = split
         v *= weight
         # mode k times the back-twiddles; one GEMM with the table sums the

@@ -12,11 +12,13 @@ parabolic symbol and the spectral-radius bound check, which repeat the
 package's arithmetic.
 """
 
+import os
 import tracemalloc
 from math import ceil
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 
 from mgipm.cli import two_bump_target
@@ -33,6 +35,26 @@ from mgipm.grid import (
 )
 from mgipm.ipm import ControlProblem, IpmOptions
 from mgipm.operators import ForwardOperator, ParabolicConfig, elliptic_build, parabolic_build
+
+
+# ---------------------------------------------------------------------------
+# what the run's outcomes depend on
+
+def pytest_report_header(config):
+    """The BLAS thread settings, the CPUs this process may use and the
+    numpy and scipy versions.  2D multilevel runs converge or fail with
+    the BLAS thread count, so each log records what it ran on."""
+    threads = " ".join(f"{key}={os.environ.get(key, 'unset')}" for key in
+                       ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    return [f"threads: {threads}, cpu affinity {len(os.sched_getaffinity(0))}",
+            f"numpy {np.__version__}, scipy {scipy.__version__}"]
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    # -q drops the header, so a quiet log gets the same lines at its end
+    if config.get_verbosity() < 0:
+        for line in pytest_report_header(config):
+            terminalreporter.write_line(line)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from mgipm import precond
 from mgipm.cli import (
@@ -21,7 +22,7 @@ from mgipm.cli import (
     run_spectral_table,
     two_bump_target,
 )
-from mgipm.grid import build_hierarchy, csr_apply
+from mgipm.grid import build_hierarchy, csr_apply, irfft, rfft
 from mgipm.ipm import IpmOptions
 
 
@@ -260,8 +261,10 @@ class TestRunElliptic:
         assert np.count_nonzero(u > 1.0 - 1e-6) > 0
         assert np.count_nonzero(u < -1.0 + 1e-6) > 0
 
-    def test_two_levels_converge_on_the_smallest_grid(self, tmp_path):
-        # 16 coarse cells per side at the default beta, no noise
+    def test_two_levels_converge_on_sixteen_coarse_cells(self, tmp_path):
+        # 16 coarse cells per side at the default beta, no noise: the
+        # smallest two-level grid that converges (16/2 fails, see
+        # TestMain::test_smallest_ladder_stops_with_reason)
         cfg = {"experiment": "elliptic-2d", "finest_n": 32, "levels": 2,
                "output_dir": str(tmp_path)}
         _, converged = run_elliptic(cfg)
@@ -307,6 +310,60 @@ class TestScipyProductOracle:
         assert {"mgipm.grid", "mgipm.operators", "mgipm.precond"} <= patched
         assert len(shipped) == 3
         assert csvs(tmp_path / "scipy") == shipped
+
+
+class TestScipyFftOracle:
+    """Whole runs of the interval's experiments, whose every FFT goes
+    through grid.rfft and grid.irfft."""
+
+    RUNS = {
+        "1024/2": (run_parabolic, {"experiment": "parabolic-1d", "finest_n": 1024,
+                                   "levels": 2}),
+        "512/3": (run_parabolic, {"experiment": "parabolic-1d", "finest_n": 512,
+                                  "levels": 3}),
+        "spectral": (run_spectral_table, {"experiment": "spectral-table",
+                                          "h_list": (1 / 80, 1 / 160),
+                                          "beta_list": (0.1,)}),
+    }
+
+    @staticmethod
+    def _csvs(runner, cfg, out):
+        _, converged = runner({**cfg, "output_dir": str(out)})
+        assert converged
+        return {p.name: p.read_bytes() for p in out.glob("*.csv")}
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_helpers_keep_the_bits_of_scipy_fft(self, tmp_path, monkeypatch, run):
+        # the run once as shipped and once with both helpers replaced by
+        # scipy.fft's own functions in every mgipm module that imports them
+        runner, cfg = self.RUNS[run]
+        shipped = self._csvs(runner, cfg, tmp_path / "shipped")
+        patched = set()
+        for name, module in list(sys.modules.items()):
+            if not name.startswith("mgipm"):
+                continue
+            if getattr(module, "rfft", None) is rfft:
+                monkeypatch.setattr(module, "rfft",
+                                    lambda x, axis=0: scipy.fft.rfft(x, axis=axis))
+                patched.add(name)
+            if getattr(module, "irfft", None) is irfft:
+                monkeypatch.setattr(module, "irfft",
+                                    lambda v, n, axis=0: scipy.fft.irfft(v, n, axis=axis))
+                patched.add(name)
+        assert {"mgipm.grid", "mgipm.operators"} <= patched
+        assert len(shipped) == (1 if run == "spectral" else 3)
+        assert self._csvs(runner, cfg, tmp_path / "scipy") == shipped
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_no_call_reaches_scipy_fft(self, tmp_path, monkeypatch, run):
+        # a call site that still calls scipy.fft fails the run
+        def stub(*args, **kwargs):
+            raise AssertionError("scipy.fft called")
+
+        monkeypatch.setattr(scipy.fft, "rfft", stub)
+        monkeypatch.setattr(scipy.fft, "irfft", stub)
+        runner, cfg = self.RUNS[run]
+        assert self._csvs(runner, cfg, tmp_path)
 
 
 class TestRunnersLeaveTheConfig:
@@ -410,6 +467,37 @@ class TestMain:
             "(relative residual")
         assert len(err.splitlines()) == 1
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("levels, residual", [(2, "8.00e-03"), (3, "1.00e+00")])
+    def test_smallest_ladder_stops_with_reason(self, tmp_path, capsys, levels,
+                                               residual):
+        # 2D 16/2 (8 coarse cells, h0^2/beta = 1.6e4) and 16/3 fail at the
+        # default beta; both converge at beta = 1e-5
+        path = write_config(
+            tmp_path,
+            f"experiment = elliptic-2d\nfinest_n = 16\nlevels = {levels}\n"
+            f"output_dir = {tmp_path}\n",
+        )
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == (f"solver error: {path}: inner predictor solve failed at outer "
+                       f"iteration 5 (relative residual {residual})")
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_tiny_time_step_ratio_runs(self, tmp_path, capsys):
+        # c1 = 1e-17 takes 5.12e18 Crank-Nicolson steps at n = 64, so
+        # eps^(1/n_steps) rounds to 1 and the band cut sits at the largest
+        # step modulus; the modes at it are kept, where the band came out
+        # empty and the run ended in an IndexError
+        path = write_config(
+            tmp_path,
+            "experiment = parabolic-1d\nfinest_n = 64\nc1 = 1e-17\n"
+            f"output_dir = {tmp_path}\n",
+        )
+        assert main(["run", path]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(tmp_path / "parabolic-1d_summary.csv")
+        assert rows[0][-1] == "true"
 
     @pytest.mark.parametrize("levels", [1, 2])
     def test_bounds_away_from_zero_stop_with_reason(self, tmp_path, capsys, levels):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.sparse.linalg import spsolve
@@ -20,9 +21,11 @@ from mgipm.grid import (
     coarsen_lambda,
     csr_apply,
     discrete_w2inf,
+    irfft,
     l2_project,
     node_coordinates,
     prolong,
+    rfft,
 )
 from mgipm.operators import elliptic_build
 
@@ -301,6 +304,66 @@ class TestCsrApply:
         mass = GridLevel("dirichlet-square", 8).mass_matrix
         with pytest.raises(ValueError, match="49 x 49 matrix"):
             csr_apply(mass, np.zeros(shape))
+
+
+class TestRealFft:
+    """rfft and irfft call pocketfft's kernels as scipy.fft does; their
+    results must keep the bits of scipy.fft.rfft and irfft, so a scipy that
+    changes its wrapper's arguments fails here."""
+
+    @staticmethod
+    def _inputs(n, rng):
+        block = rng.standard_normal((n, 3))
+        wide = rng.standard_normal((n, 7))
+        return {
+            "vector": rng.standard_normal(n),
+            "C block": block,
+            "F block": np.asfortranarray(block),
+            "strided vector": wide[:, 2],
+            "strided block": wide[:, ::2],
+            "reversed vector": wide[::-1, 0],
+        }
+
+    @staticmethod
+    def _same(out, want, label):
+        assert out.dtype == want.dtype and out.shape == want.shape, label
+        assert out.tobytes() == want.tobytes(), label
+
+    @pytest.mark.parametrize("n", [4, 7, 8, 63, 64, 1024, 4098])
+    def test_rfft_bits_of_scipy(self, n, rng):
+        for label, x in self._inputs(n, rng).items():
+            before = x.copy(order="K")
+            self._same(rfft(x), scipy.fft.rfft(x, axis=0), label)
+            assert x.tobytes() == before.tobytes(), label
+
+    @pytest.mark.parametrize("n", [4, 7, 8, 63, 64, 1024, 4098])
+    def test_irfft_bits_of_scipy(self, n, rng):
+        for label, x in self._inputs(n, rng).items():
+            v = scipy.fft.rfft(x, axis=0)
+            # a mode sum that no real signal of length n has, so that the
+            # imaginary parts the kernel drops are not zero
+            v += 0.5j * rng.standard_normal(v.shape)
+            for key, modes in (("", v), (" F", np.asfortranarray(v)),
+                               (" strided", np.repeat(v, 2, axis=0)[::2])):
+                before = modes.copy(order="K")
+                self._same(irfft(modes, n), scipy.fft.irfft(modes, n, axis=0),
+                           label + key)
+                assert modes.tobytes() == before.tobytes(), label + key
+
+    @pytest.mark.parametrize("n", [9, 64])
+    def test_axis_one(self, n, rng):
+        x = rng.standard_normal((2, n))
+        v = rfft(x, axis=1)
+        self._same(v, scipy.fft.rfft(x, axis=1), "rfft")
+        self._same(irfft(v, n, axis=1), scipy.fft.irfft(v, n, axis=1), "irfft")
+
+    @pytest.mark.parametrize("rows, n", [(4, 8), (6, 8), (4, 9), (6, 9)])
+    def test_wrong_mode_count_is_rejected(self, rows, n):
+        # scipy would crop or zero-pad these to n//2 + 1 modes
+        with pytest.raises(ValueError, match=f"{rows} modes along axis 0"):
+            irfft(np.zeros(rows, dtype=complex), n)
+        with pytest.raises(ValueError, match=f"{rows} modes along axis 1"):
+            irfft(np.zeros((2, rows), dtype=complex), n, axis=1)
 
 
 class TestL2Project:

@@ -107,6 +107,18 @@ class TestParabolicBuild:
         with pytest.raises(ValueError):
             ParabolicConfig(T=float("inf"))
 
+    @pytest.mark.parametrize("n, c1", [(64, 1e-17), (1000, 1e-15), (1000, 1e-30)])
+    def test_tiny_time_step_keeps_the_modes_at_the_maximum(self, n, c1):
+        # past about 6e17 steps eps^(1/n_steps) rounds to 1, so the band
+        # cut would equal the largest step modulus and keep no mode.  The
+        # constant mode (step exactly 1 without reaction) must survive
+        level = build_hierarchy("periodic-interval", n, 1).finest
+        op = parabolic_build(level, ParabolicConfig(c1=c1))
+        assert op.n_steps > 6e17
+        assert op.normal_rank >= 1
+        u = np.full(n, 0.75)
+        assert np.allclose(op.apply(u), u, rtol=0.0, atol=1e-14)
+
 
 @pytest.fixture(scope="module")
 def square_64():
