@@ -199,20 +199,19 @@ def _bounds(cfg, n, default_lo, default_hi):
     return lo, hi
 
 
-def _ipm_options(cfg):
-    kw = {f.name: cfg[f.name] for f in fields(IpmOptions) if f.name in cfg}
+def _dataclass_config(cls, cfg):
+    """cls from the config keys named by its fields; a value it rejects is a ConfigError."""
+    kw = {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
     try:
-        return IpmOptions(**kw)
+        return cls(**kw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _parabolic_config(cfg, c1_default):
+def _operator(build, level, level_index):
+    """build(level, level_index=...); a level it rejects is a ConfigError."""
     try:
-        return ParabolicConfig(
-            a=cfg.get("a", 4e-3), b=cfg.get("b", 0.4), c=cfg.get("c", 0.0),
-            T=cfg.get("T", 0.8), c1=cfg.get("c1", c1_default),
-        )
+        return build(level, level_index=level_index)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -281,13 +280,13 @@ def _run_control(cfg, experiment, kind, default_n, build, target, bounds, beta,
     (IpmOptions fields) are the defaults that the config overrides.
     """
     hier, finest_n, levels = _hierarchy(cfg, kind, default_n)
-    ops = [build(lv, level_index=i) for i, lv in enumerate(hier.levels)]
+    ops = [_operator(build, lv, i) for i, lv in enumerate(hier.levels)]
     finest = hier.finest
     f_vals = ops[-1].apply(target(node_coordinates(finest)))
     lo, hi = _bounds(cfg, finest.n_dof, *bounds)
     beta = cfg.get("beta", beta)
     result = solve(_problem(hier, ops, f_vals, beta, lo, hi),
-                   _ipm_options({**options, **cfg}))
+                   _dataclass_config(IpmOptions, {**options, **cfg}))
     arts = _write_run(experiment, finest_n, levels, beta, result,
                       cfg.get("output_dir", "."))
     return arts, result.converged
@@ -295,7 +294,7 @@ def _run_control(cfg, experiment, kind, default_n, build, target, bounds, beta,
 
 def run_parabolic(cfg):
     """1D source identification: two-bump target, f = K u0, box bounds."""
-    op_cfg = _parabolic_config(cfg, c1_default=1.0)
+    op_cfg = _dataclass_config(ParabolicConfig, {"c1": 1.0, **cfg})
     return _run_control(cfg, "parabolic-1d", "periodic-interval", 1024,
                         partial(parabolic_build, config=op_cfg), two_bump_target,
                         (0.0, 1.0), 1e-3, {})
@@ -326,7 +325,7 @@ def run_spectral_table(cfg):
     numerically (a coarse core with no Cholesky factor, a spectrum off the
     right half line) raises RuntimeError, which main reports as a solver error.
     """
-    op_cfg = _parabolic_config(cfg, c1_default=2.0)
+    op_cfg = _dataclass_config(ParabolicConfig, {"c1": 2.0, **cfg})
     h_list = cfg.get("h_list", (1 / 80, 1 / 160, 1 / 320, 1 / 640))
     beta_list = cfg.get("beta_list", (1.0, 0.1, 0.01))
     for h in h_list:
@@ -341,7 +340,7 @@ def run_spectral_table(cfg):
         if not (np.isfinite(beta) and beta > 0.0):
             raise ConfigError(f"beta_list entry {beta!r} must be positive and finite")
     reports = spectral_distance_table(
-        lambda lv, i: parabolic_build(lv, op_cfg, level_index=i),
+        partial(_operator, partial(parabolic_build, config=op_cfg)),
         lambda xs: np.sin(np.pi * xs) / np.pi,
         h_list=h_list,
         beta_list=beta_list,

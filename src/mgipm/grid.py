@@ -11,22 +11,24 @@ Two geometries are supported:
   ordered with the x index slow and the y index fast (C order of the
   (n-1, n-1) array).
 
-Each level carries its diagonal (lumped) weight vector.  Transfers follow
-the geometry's structure, and only the square builds sparse matrices.  On
-the interval the interpolation is a two-point stencil, and the L2
-projection is one rfft, a two-term combination of modes with weights
-cached per level, and one irfft: its circulant mass matrices and the
-restriction appear only through their Fourier symbols.  Every FFT on the
-interval, the parabolic operator's included, goes through rfft and irfft.
-On the square the
+Each level carries its lumped quadrature weight, the one number h
+(interval) or h^2 (square) at every node.  Transfers follow the geometry's
+structure, and only the square builds sparse matrices.  On the interval
+the interpolation is a two-point stencil, and the L2 projection is one
+rfft, a two-term combination of modes with weights cached per level, and
+one irfft: its circulant mass matrices and the restriction appear only
+through their Fourier symbols.  Every FFT on the interval, the parabolic
+operator's included, goes through rfft and irfft.  On the square the
 consistent mass matrix (rescaled by h^{-2}, so its entries are mesh-size
 free) and the restriction J^T are one seven-point stencil with different
 weights, on a node and its six edge neighbours E, W, N, S, NE and SW;
-_three_line builds both from one table of offsets.  The interpolation J and
-R = 2^{-2} J^T are cached as CSR on the fine level, and the projection
-restricts the mass-weighted field with R and solves with the factorized
-coarse mass matrix.  Every product with these CSR matrices, the operators'
-and the coarse solve's included, goes through csr_apply.
+_three_line builds both from one table of offsets.  The level's
+mass_matrix is the one copy of that mass: the projection and the elliptic
+operator both use it.  The interpolation J and R = 2^{-2} J^T are cached
+as CSR on the fine level, and the projection restricts the mass-weighted
+field with R and solves with the factorized coarse mass matrix.  Every
+product with these CSR matrices, the operators' and the coarse solve's
+included, goes through csr_apply.
 """
 
 from __future__ import annotations
@@ -87,9 +89,9 @@ class GridLevel:
     """One uniform refinement level, fixed by its kind and cell count.
 
     h = 1/n_cells; n_dof is n_cells for the periodic interval and
-    (n_cells-1)^2 for the Dirichlet square; weights holds the lumped
-    quadrature weight of every node, the one number h resp. h^2
-    (read-only).
+    (n_cells-1)^2 for the Dirichlet square; weights is the lumped
+    quadrature weight of every node, the one float h resp. h^2, which
+    broadcasts against nodal arrays.
     """
 
     kind: str
@@ -103,12 +105,10 @@ class GridLevel:
     def n_dof(self):
         return self.n_cells if self.kind == KIND_PERIODIC else (self.n_cells - 1) ** 2
 
-    @cached_property
+    @property
     def weights(self):
         h = self.h
-        w = np.full(self.n_dof, h if self.kind == KIND_PERIODIC else h * h)
-        w.flags.writeable = False
-        return w
+        return h if self.kind == KIND_PERIODIC else h * h
 
     @cached_property
     def mass_matrix(self):

@@ -1,7 +1,8 @@
 """Matrix-free Krylov solvers: plain CG and preconditioned CGS.
 
-Both solvers see the system only through an apply callback and account for
-every operator application they consume.
+Both solvers see the system only through an apply callback.  They leave
+the counting of its calls to the operators behind it: each forward
+operator's matvec_counter counts every apply it makes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class KrylovReport:
     iterations: int
     final_relative_residual: float
     converged: bool
-    matvecs: int
 
 
 def cg(apply, b, tol=1e-8, maxit=500):
@@ -39,24 +39,22 @@ def cg(apply, b, tol=1e-8, maxit=500):
     aborts with KrylovBreakdown rather than returning garbage.  A
     non-finite residual stops the run at once with converged=False.
 
-    Returns (x, KrylovReport).  One operator apply per iteration; the zero
+    Returns (x, KrylovReport).  One apply per iteration; the zero
     right-hand side short-circuits to the zero solution.
     """
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
     x = np.zeros_like(b)
     if bnorm == 0.0:
-        return x, KrylovReport(0, 0.0, True, 0)
+        return x, KrylovReport(0, 0.0, True)
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
-    matvecs = 0
     rel = 1.0
     converged = False
     iterations = 0
     for _ in range(maxit):
         Ap = apply(p)
-        matvecs += 1
         iterations += 1
         pAp = float(p @ Ap)
         if pAp <= 0.0:
@@ -77,7 +75,7 @@ def cg(apply, b, tol=1e-8, maxit=500):
         p *= rs_new / rs
         p += r
         rs = rs_new
-    return x, KrylovReport(iterations, float(rel), converged, matvecs)
+    return x, KrylovReport(iterations, float(rel), converged)
 
 
 def cgs(apply, precond, b, tol=1e-8, maxit=500):
@@ -104,18 +102,16 @@ def cgs(apply, precond, b, tol=1e-8, maxit=500):
     (the zero start included), together with its explicitly computed
     residual.
 
-    Returns (x, KrylovReport).  Two operator applies per iteration, plus one
-    per explicit residual (each confirmation, restart and unconverged
-    exit), all counted in the report.
+    Returns (x, KrylovReport).  Two applies per iteration, plus one per
+    explicit residual (each confirmation, restart and unconverged exit).
     """
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
     x = np.zeros_like(b)
     if bnorm == 0.0:
-        return x, KrylovReport(0, 0.0, True, 0)
+        return x, KrylovReport(0, 0.0, True)
     r = b.copy()
     restarted = False
-    matvecs = 0
     iterations = 0
     rel = 1.0
     converged = False
@@ -134,7 +130,6 @@ def cgs(apply, precond, b, tol=1e-8, maxit=500):
                     f"cgs: rho breakdown recurred at iteration {iterations}"
                 )
             r = b - apply(x)
-            matvecs += 1
             u = p = q = None
             restarted = True
             continue
@@ -151,7 +146,6 @@ def cgs(apply, precond, b, tol=1e-8, maxit=500):
             p *= beta
             p += u
         vhat = apply(precond(p))
-        matvecs += 1
         sigma = float(rtilde @ vhat)
         if sigma == 0.0:
             if restarted:
@@ -159,7 +153,6 @@ def cgs(apply, precond, b, tol=1e-8, maxit=500):
                     f"cgs: sigma breakdown recurred at iteration {iterations}"
                 )
             r = b - apply(x)
-            matvecs += 1
             u = p = q = None
             restarted = True
             continue
@@ -171,14 +164,12 @@ def cgs(apply, precond, b, tol=1e-8, maxit=500):
         x = x + alpha * uhat
         r -= alpha * apply(uhat)
         del uhat
-        matvecs += 1
         rho_prev = rho
         iterations += 1
         rel = np.linalg.norm(r) / bnorm
         if rel <= tol:
             # recurrence says done; confirm on the explicitly computed residual
             r_true = b - apply(x)
-            matvecs += 1
             rel = np.linalg.norm(r_true) / bnorm
             if rel <= tol:
                 converged = True
@@ -198,5 +189,4 @@ def cgs(apply, precond, b, tol=1e-8, maxit=500):
     if not converged:
         x = x_best
         rel = np.linalg.norm(b - apply(x)) / bnorm
-        matvecs += 1
-    return x, KrylovReport(iterations, float(rel), converged, matvecs)
+    return x, KrylovReport(iterations, float(rel), converged)

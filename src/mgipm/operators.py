@@ -29,13 +29,13 @@ F^T diag(w) F has a closed form in the rfft of w.  These three members
 operator says of F: the coarse Woodbury inverse uses them, and nothing
 forms the n x r factor.
 
-The elliptic K^T K = M A^{-2} M has no low-rank factor, but its stiffness
-A and mass M are stencils on the grid's table of three-line neighbours
-(the mass on all six, the five-point A on E, W, N and S):
-stiffness_band(w) gives the lower LAPACK band of A^2 + M diag(w) M
-(half-bandwidth 2 n_cells), summed from stencil products, for the coarse
-Woodbury inverse through the stiffness, and stiffness_residual(c, z) =
-c - A^2 z refines its solves.
+The elliptic K = -L^{-1} M, L the five-point Laplacian and M the level's
+mass_matrix, has K^T K = M L^{-2} M and no low-rank factor, but L and M
+are stencils on the grid's table of three-line neighbours (M on all six,
+L on E, W, N and S): stiffness_band(w) gives the lower LAPACK band of
+L^2 + M diag(w) M (half-bandwidth 2 n_cells), summed from stencil
+products, for the coarse Woodbury inverse through the stiffness, and
+stiffness_residual(c, z) = c - L^2 z refines its solves.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class ForwardOperator:
     normal_expand(z) = F z for an r-vector or r x k block, and
     normal_gram(w) = F^T diag(w) F for an n-vector w (see ParabolicOperator
     and ZeroOperator).  normal_rank None means there is no such factor.
-    An operator K = -A^{-1} M with a banded A^2 + M diag(w) M gives that
+    An operator K = -L^{-1} M with a banded L^2 + M diag(w) M gives that
     band as stiffness_band(w) (see EllipticOperator); None means it has
     none.
     """
@@ -155,7 +155,8 @@ class ParabolicConfig:
     The time step targets k = c1*h; the step count N_t = ceil(T/(c1*h)) is
     then used with k = T/N_t so the final time is hit exactly (the two agree
     whenever T/(c1*h) is an integer).  Out-of-range values raise
-    ValueError at construction.
+    ValueError at construction, and a c1 so small that T/(c1*h) is not
+    finite raises it when the operator is built.
     """
 
     a: float = 4e-3
@@ -184,7 +185,10 @@ class ParabolicOperator(ForwardOperator):
         super().__init__(level_index, level)
         n = level.n_cells
         h = level.h
-        self.n_steps = max(1, ceil(config.T / (config.c1 * h)))
+        target = config.c1 * h
+        if not (target and isfinite(config.T / target)):
+            raise ValueError(f"time-step ratio c1={config.c1!r} is too small for h={h!r}")
+        self.n_steps = max(1, ceil(config.T / target))
         self.dt = config.T / self.n_steps
         a, b, c = config.a, config.b, config.c
         # circulant first rows of the consistent mass and transport matrices
@@ -415,18 +419,19 @@ class EllipticConfig:
 
 
 class EllipticOperator(ForwardOperator):
-    """K u = y solving the five-point system A y = -M u (so K = -A^{-1} M).
+    """K u = y solving the five-point system L y = -M u (so K = -L^{-1} M).
 
-    On the m = n - 1 interior lines A = T (x) I + I (x) T with
+    M is the level's mass_matrix and L = n^2 A, both the assembled matrices
+    over h^2.  On the m = n - 1 interior lines A = T (x) I + I (x) T with
     T = tridiag(-1, 2, -1); the diagonal neighbors of the three-line
     triangulation carry no stiffness coupling.  The orthonormal sine matrix
     S_jk = sqrt(2/n) sin(pi j k / n) diagonalizes T, so on the m x m array of
-    nodal values A^{-1} X = S ((S X S) / Lambda) S with
+    nodal values L^{-1} X = S ((S X S) / (n^2 Lambda)) S with
     Lambda_jk = t_j + t_k, t_k = 2 - 2 cos(pi k / n).  The operator stores
-    -Lambda, so one division carries the sign of K.
+    -n^2 Lambda, so one division carries the sign of K.
 
-    A and M are sparse, so K^T K = M A^{-2} M has no low-rank factor, but
-    A^2 + M diag(w) M is banded: stiffness_band(w) gives its lower band,
+    L and M are sparse, so K^T K = M L^{-2} M has no low-rank factor, but
+    L^2 + M diag(w) M is banded: stiffness_band(w) gives its lower band,
     for the coarse Woodbury inverse (see mgipm.precond).
     """
 
@@ -437,9 +442,7 @@ class EllipticOperator(ForwardOperator):
         # integer phases reduced mod 2n keep the angles exact before rounding
         self._sine = np.sqrt(2.0 / n) * np.sin(np.pi / n * (np.outer(k, k) % (2 * n)))
         t = 2.0 - 2.0 * np.cos(np.pi / n * k)
-        self._neg_eig = -(t[:, None] + t[None, :])
-        # full (unrescaled) consistent mass = h^2 times the stored one
-        self.mass_full = (level.h**2) * level.mass_matrix
+        self._neg_eig = -(n * n) * (t[:, None] + t[None, :])
 
     def _in_sine_basis(self, x, scale):
         """S scale(S X S) S on the m x m grid of an n-vector x, or on the k
@@ -450,24 +453,24 @@ class EllipticOperator(ForwardOperator):
         return y.reshape(x.shape[::-1]).T
 
     def _negated_stiffness_solve(self, rhs):
-        """-A^{-1} rhs; negation is exact, so these are the bits of -(A^{-1} rhs)."""
+        """-L^{-1} rhs; negation is exact, so these are the bits of -(L^{-1} rhs)."""
         return self._in_sine_basis(rhs, lambda y: y / self._neg_eig)
 
     def _apply(self, u):
-        return self._negated_stiffness_solve(csr_apply(self.mass_full, u))
+        return self._negated_stiffness_solve(csr_apply(self.level.mass_matrix, u))
 
     def stiffness_residual(self, c, z):
-        """c - A^2 z for two n-vectors or n x k blocks, with A^2 the diagonal
-        Lambda^2 in the sine basis; it refines the coarse band solves (see
-        mgipm.precond)."""
+        """c - L^2 z for two n-vectors or n x k blocks, with L^2 the diagonal
+        n^4 Lambda^2 in the sine basis; it refines the coarse band solves
+        (see mgipm.precond)."""
         return c - self._in_sine_basis(z, lambda y: self._neg_eig**2 * y)
 
     def _apply_transpose(self, u):
-        # A is symmetric, so K^T = -M A^{-1}
-        return csr_apply(self.mass_full, self._negated_stiffness_solve(u))
+        # L is symmetric, so K^T = -M L^{-1}
+        return csr_apply(self.level.mass_matrix, self._negated_stiffness_solve(u))
 
     def stiffness_band(self, w):
-        """Lower LAPACK band of H = A^2 + M diag(w) M for an n-vector w.
+        """Lower LAPACK band of H = L^2 + M diag(w) M for an n-vector w.
 
         Row d of the (2 n_cells + 1) x n_dof result holds H[j + d, j] at
         column j (zero where j + d >= n_dof): the mass couples nodes
@@ -491,7 +494,7 @@ class EllipticOperator(ForwardOperator):
     def _band_terms(self):
         """The map (w, 1) -> lower band of H, as (d, target, middle, coef).
 
-        With M and A the stencils c and a, H[i, j] = sum_k c(i - k) w_k
+        With M and L the stencils c and a, H[i, j] = sum_k c(i - k) w_k
         c(k - j) + a(i - k) a(k - j).  One term is one pair of stencil
         offsets s = k - j and t = i - k with delta = s + t in the lower
         band (d = delta_x m + delta_y >= 0): at every node j whose i lies on
@@ -499,12 +502,11 @@ class EllipticOperator(ForwardOperator):
         (or a(s) a(t) times 1; the middle slices of the padded source).
         """
         m = self.level.n_cells - 1
-        # the square's rescaled mass stencil times h^2, with the bits of
-        # mass_full; the stiffness couples the first four neighbours only
-        h2 = self.level.h**2
-        centre, off = (h2 * w for w in _MASS_WEIGHTS)
+        n2 = float(self.level.n_cells**2)
+        # the level's mass stencil; L couples the first four neighbours only
+        centre, off = _MASS_WEIGHTS
         mass = {(0, 0): centre, **dict.fromkeys(_THREE_LINE_NEIGHBOURS, off)}
-        stiffness = {(0, 0): 4.0, **dict.fromkeys(_THREE_LINE_NEIGHBOURS[:4], -1.0)}
+        stiffness = {(0, 0): 4.0 * n2, **dict.fromkeys(_THREE_LINE_NEIGHBOURS[:4], -n2)}
         terms = []
         for source, stencil in enumerate((mass, stiffness)):
             for (sx, sy), cs in stencil.items():

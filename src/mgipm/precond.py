@@ -18,21 +18,21 @@ through the operator's normal_project (F^T y), normal_expand (F z) and
 normal_gram (F^T diag(w) F): the set-up Cholesky-factors the r x r core
 I_r + normal_gram(1/p^2) = I_r + B^T B, and a solve is
 r - normal_expand(core^{-1} normal_project(r/p))/p.  Only the core is
-stored, and F is never formed.  Where K = -A^{-1} M with sparse A and M
+stored, and F is never formed.  Where K = -L^{-1} M with sparse L and M
 (the operator's stiffness_band is not None), G = I + Z^T Z with
-Z = A^{-1} M D_{1/p}, and the Woodbury identity gives
+Z = L^{-1} M D_{1/p}, and the Woodbury identity gives
 G^{-1} = I - D_{1/p} M H^{-1} M D_{1/p} with the banded
-H = stiffness_band(1/p^2) = A^2 + M D_{1/p}^2 M (half-bandwidth
+H = stiffness_band(1/p^2) = L^2 + M D_{1/p}^2 M (half-bandwidth
 2 n_cells): the set-up factors H in band storage in place (LAPACK
 pbtrf), and a solve is r - M pbtrs(H, M (r/p))/p, its products with the
-CSR M made by grid.csr_apply.  H squares the condition number of A, so
-above BAND_UNREFINED_MAX_DOF nodes the pbtrs result takes one step of
-iterative refinement, with H's residual formed by the operator's
-stiffness_residual.  Both are exact to roundoff at every size (a
-relative G residual of at most 2e-13 measured).  Only an operator with
-neither structure (the dense test operators) has its coarsest G
-assembled from its normal_matrix (K^T K, materialized once per operator,
-since it does not depend on lambda) and LU-factored.
+level's CSR mass_matrix M made by grid.csr_apply.  H squares the
+condition number of L, so above BAND_UNREFINED_MAX_DOF nodes the pbtrs
+result takes one step of iterative refinement, with H's residual formed
+by the operator's stiffness_residual.  Both are exact to roundoff at
+every size (a relative G residual of at most 2e-13 measured).  Only an
+operator with neither structure (the dense test operators) has its
+coarsest G assembled from its normal_matrix (K^T K, materialized once
+per operator, since it does not depend on lambda) and LU-factored.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def _exact_inverse(sys):
         if info or not np.isfinite(band[0]).all():
             raise RuntimeError(
                 f"coarse band core has no finite Cholesky factor (pbtrf info {info})")
-        mass = op.mass_full
+        mass = op.level.mass_matrix
         refine = p.size > BAND_UNREFINED_MAX_DOF
 
         def solve(r):
@@ -219,7 +219,7 @@ def _exact_inverse(sys):
             b = csr_apply(mass, r / q)
             z = pbtrs(band, b, lower=1, overwrite_b=not refine)[0]
             if refine:
-                # b - H z = c - A^2 z with c = b - M D^2 M z
+                # b - H z = c - L^2 z with c = b - M D^2 M z
                 d2mz = csr_apply(mass, z) * (w if r.ndim == 1 else w[:, None])
                 c = b - csr_apply(mass, d2mz)
                 z += pbtrs(band, op.stiffness_residual(c, z), lower=1, overwrite_b=1)[0]

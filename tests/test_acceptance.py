@@ -265,7 +265,7 @@ def test_interior_point_reaches_certified_solutions():
         NodalField(0, np.full(3, -1.0)), NodalField(0, np.full(3, 1.0)),
     )
     toy = solve(prob)
-    expected = enumerate_box_qp(K, hier.finest.weights, 0.05, f,
+    expected = enumerate_box_qp(K, np.full(3, hier.finest.weights), 0.05, f,
                                 np.full(3, -1.0), np.full(3, 1.0))
     toy_err = float(np.max(np.abs(toy.u.values - expected)))
 

@@ -278,7 +278,7 @@ class TestRunElliptic:
         _, rows = read_csv(arts.solution_csv)
         u = np.array([float(r[1]) for r in rows])
         level = build_hierarchy("dirichlet-square", 64, 1).finest
-        assert np.sqrt(float(level.weights @ (u * u))) <= 1e-4
+        assert np.sqrt(level.weights * float(u @ u)) <= 1e-4
 
 
 class TestScipyProductOracle:
@@ -498,6 +498,22 @@ class TestMain:
         assert capsys.readouterr().err == ""
         _, rows = read_csv(tmp_path / "parabolic-1d_summary.csv")
         assert rows[0][-1] == "true"
+
+    @pytest.mark.parametrize("command, body", [
+        ("run", "experiment = parabolic-1d\nfinest_n = 64\n"),
+        ("spectral", "experiment = spectral-table\nh_list = 0.125\n"),
+    ], ids=["run", "spectral"])
+    @pytest.mark.parametrize("c1", ["1e-310", "5e-324"])
+    def test_subnormal_time_step_ratio_is_a_config_error(self, tmp_path, capsys,
+                                                         command, body, c1):
+        # c1 h underflows to 0 at 5e-324 and T/(c1 h) overflows at 1e-310;
+        # both ended in a traceback (ZeroDivisionError, OverflowError)
+        path = write_config(tmp_path, f"{body}c1 = {c1}\noutput_dir = {tmp_path}\n")
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"config error: time-step ratio c1={float(c1)!r}")
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("levels", [1, 2])
     def test_bounds_away_from_zero_stop_with_reason(self, tmp_path, capsys, levels):

@@ -65,7 +65,7 @@ class TestMaterialize:
         # W G = G^T W up to roundoff: G is self-adjoint in the lumped pairing
         g, _ = dense_cell(parabolic_builder, np.sin, 80, 1.0)
         level = build_hierarchy("periodic-interval", 80, 1).finest
-        W = np.diag(level.weights)
+        W = np.diag(np.full(80, level.weights))
         defect = np.linalg.norm(W @ g - g.T @ W) / np.linalg.norm(W @ g)
         assert defect <= 1e-11
 

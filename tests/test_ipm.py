@@ -229,8 +229,8 @@ class TestReduceToScaled:
         du = np.linalg.solve(G, rhs) / sys.p
         op = prob.operators[0]
         K = np.column_stack([op.apply(col) for col in np.eye(64)])
-        w = prob.hierarchy.finest.weights
-        A = 0.5 * np.diag(w) + K.T @ np.diag(w) @ K
+        W = np.diag(np.full(64, prob.hierarchy.finest.weights))
+        A = 0.5 * W + K.T @ W @ K
         r = r_u + r_v1 / (u + 2.0) - r_v2 / (2.0 - u)
         m = state.v1.values / (u + 2.0) + state.v2.values / (2.0 - u)
         resid = (A + np.diag(m)) @ du - r
@@ -387,7 +387,7 @@ class TestSolve:
         prob = toy_problem(TOY_K, TOY_F)
         result = solve(prob)
         assert result.converged
-        w = prob.hierarchy.finest.weights
+        w = np.full(3, prob.hierarchy.finest.weights)
         expected = enumerate_box_qp(TOY_K, w, 0.05, TOY_F,
                                     np.full(3, -1.0), np.full(3, 1.0))
         assert np.any(np.abs(expected) == 1.0)

@@ -1,10 +1,14 @@
 """The import surface: what the package and its modules export."""
 
 import importlib
+from dataclasses import fields
 
 import pytest
 
 import mgipm
+from mgipm.grid import GridLevel
+from mgipm.krylov import KrylovReport
+from mgipm.operators import elliptic_build
 
 MODULES = ("grid", "operators", "krylov", "precond", "ipm", "diagnostics", "cli")
 
@@ -38,3 +42,20 @@ def test_package_exports_resolve():
         assert hasattr(mgipm, attr), attr
     assert not set(REMOVED) & set(mgipm.__all__)
     assert not any(hasattr(mgipm, attr) for attr in REMOVED)
+
+
+# each quantity is kept once: the solvers' apply counts live on the
+# operators, the square's mass on its level, and the lumped weight is the
+# one number h resp. h^2
+def test_krylov_report_keeps_no_apply_count():
+    assert tuple(f.name for f in fields(KrylovReport)) == (
+        "iterations", "final_relative_residual", "converged")
+
+
+def test_elliptic_operator_keeps_no_mass_copy():
+    assert not hasattr(elliptic_build(GridLevel("dirichlet-square", 8)), "mass_full")
+
+
+@pytest.mark.parametrize("kind", ["periodic-interval", "dirichlet-square"])
+def test_level_weight_is_a_float(kind):
+    assert type(GridLevel(kind, 8).weights) is float

@@ -63,7 +63,7 @@ class TestGApply:
         lam_vals = 1.0 + rng.random(16)
         sys = make_scaled_system(op, lam_vals, 1.0)
         K = np.column_stack([op.apply(col) for col in np.eye(16)])
-        W = np.diag(level.weights)
+        W = np.diag(np.full(16, level.weights))
         D = np.diag(1.0 / np.sqrt(lam_vals))
         G = np.eye(16) + D @ np.linalg.solve(W, K.T @ W @ K) @ D
         assert_allclose(g_apply(sys, np.eye(16)), G, rtol=1e-12, atol=1e-12)
@@ -195,7 +195,7 @@ class TestBuildPreconditioner:
         # np.linalg.solve on the G of g_apply was off by 5e-12, so the
         # reference is refined twice with residuals of the exact
         # G = I + D M A^{-2} M D in extended precision, A^{-1} from its
-        # sine diagonalization
+        # sine diagonalization and M the assembled mass, h^2 times the level's
         hier = build_hierarchy("dirichlet-square", n0, 2)
         ops = [elliptic_build(lv, level_index=i) for i, lv in enumerate(hier.levels)]
         nf = hier.finest.n_dof
@@ -206,7 +206,8 @@ class TestBuildPreconditioner:
         sys0 = mg.systems[0]
         n = n0 - 1
         s, eig = sine_diagonalization(n0, np.longdouble)
-        mass = ops[0].mass_full.toarray().astype(np.longdouble)
+        coarse = hier.levels[0]
+        mass = (coarse.h**2 * coarse.mass_matrix).toarray().astype(np.longdouble)
         p = sys0.p.astype(np.longdouble)
 
         def exact_g(x):
