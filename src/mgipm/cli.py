@@ -47,7 +47,10 @@ class RunArtifacts:
     solution_csv: str
 
 
-# key -> type; strings pass through, "floatlist" parses comma-separated reals
+# key -> type; strings pass through, "floatlist" parses comma-separated
+# reals.  The operator coefficients and solver options are the fields of
+# ParabolicConfig and IpmOptions, typed by their annotation strings
+_FIELD_TYPES = {"float": float, "int": int, "str": str}
 _SCHEMA = {
     "experiment": str,
     "finest_n": int,
@@ -57,18 +60,8 @@ _SCHEMA = {
     "hi": float,
     "bounds_file": str,
     "output_dir": str,
-    "a": float,
-    "b": float,
-    "c": float,
-    "T": float,
-    "c1": float,
-    "mu_tol": float,
-    "resid_tol": float,
-    "max_outer": int,
-    "step_fraction": float,
-    "krylov_tol": float,
-    "krylov_maxit": int,
-    "coarsest_solver": str,
+    **{f.name: _FIELD_TYPES[f.type]
+       for cls in (ParabolicConfig, IpmOptions) for f in fields(cls)},
     "h_list": "floatlist",
     "beta_list": "floatlist",
 }
@@ -396,20 +389,19 @@ def main(argv=None):
         description="interior point experiments with multigrid inner solves",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "spectral"):
-        p = sub.add_parser(name)
+    run, spectral = (sub.add_parser(name) for name in ("run", "spectral"))
+    for p in (run, spectral):
         p.add_argument("configs", nargs="+", help="config file(s)")
         p.add_argument("--output-dir", default=None)
-        p.add_argument("--levels", type=int, default=None)
-        p.add_argument("--finest-n", type=int, default=None)
-        p.add_argument("--beta", type=float, default=None)
+    # the spectral table reads none of these, so they are run's alone
+    run.add_argument("--levels", type=int, default=None)
+    run.add_argument("--finest-n", type=int, default=None)
+    run.add_argument("--beta", type=float, default=None)
     args = parser.parse_args(argv)
 
     # the option dests are the config keys they override
-    overrides = {}
-    for key in ("output_dir", "levels", "finest_n", "beta"):
-        if getattr(args, key) is not None:
-            overrides[key] = getattr(args, key)
+    overrides = {key: value for key, value in vars(args).items()
+                 if key not in ("command", "configs") and value is not None}
     if args.command == "spectral":
         overrides["experiment"] = "spectral-table"
 

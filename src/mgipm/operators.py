@@ -26,16 +26,21 @@ The same two halves, restricted to the modes of K^T K above roundoff,
 give F^T y and F z for the real Fourier factor F of K^T K = F F^T, and
 F^T diag(w) F has a closed form in the rfft of w.  These three members
 (normal_project, normal_expand, normal_gram) and the rank r are all an
-operator says of F: the coarse Woodbury inverse uses them, and nothing
-forms the n x r factor.
+operator says of F, and nothing forms the n x r factor.
 
 The elliptic K = -L^{-1} M, L the five-point Laplacian and M the level's
 mass_matrix, has K^T K = M L^{-2} M and no low-rank factor, but L and M
 are stencils on the grid's table of three-line neighbours (M on all six,
 L on E, W, N and S): stiffness_band(w) gives the lower LAPACK band of
 L^2 + M diag(w) M (half-bandwidth 2 n_cells), summed from stencil
-products, for the coarse Woodbury inverse through the stiffness, and
-stiffness_residual(c, z) = c - L^2 z refines its solves.
+products, and stiffness_residual(c, z) = c - L^2 z.
+
+Each operator inverts its own scaled inner system G = I + D K^T K D,
+D = diag(1/p): scaled_inverse(p) factors once and returns r -> G^{-1} r,
+exact to roundoff, for an n-vector or an n x k block.  The parabolic and
+elliptic inverses apply the Woodbury identity to F and to the band (a
+relative G residual of at most 2e-13 measured at every size), K = 0 gives
+G = I, and an operator with no structure LU-factors its dense G.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from functools import cached_property
 from math import ceil, isfinite, isqrt, log2
 
 import numpy as np
+import scipy.linalg as sla
 
 from mgipm.grid import (
     _MASS_WEIGHTS,
@@ -71,19 +77,15 @@ _EPS = np.finfo(float).eps
 class ForwardOperator:
     """Base class: counts every apply, one per column of the input.
 
-    An operator whose K^T K = F F^T has an exact factor of rank r sets
-    normal_rank to r and gives the three normal_* members, which count no
-    applies: normal_project(y) = F^T y for an n-vector or n x k block,
-    normal_expand(z) = F z for an r-vector or r x k block, and
-    normal_gram(w) = F^T diag(w) F for an n-vector w (see ParabolicOperator
-    and ZeroOperator).  normal_rank None means there is no such factor.
-    An operator K = -L^{-1} M with a banded L^2 + M diag(w) M gives that
-    band as stiffness_band(w) (see EllipticOperator); None means it has
-    none.
+    The preconditioner uses apply, apply_transpose and scaled_inverse.
+    The diagnostics also read the factor of K^T K = F F^T: an operator
+    with an exact factor of rank r sets normal_rank to r and gives
+    normal_expand(z) = F z for an r-vector or r x k block, counting no
+    applies (see ParabolicOperator and ZeroOperator).  normal_rank None
+    means there is no such factor.
     """
 
     normal_rank = None
-    stiffness_band = None
 
     def __init__(self, level_index, level):
         self.level_index = level_index
@@ -124,23 +126,42 @@ class ForwardOperator:
         h.flags.writeable = False
         return h
 
+    def scaled_inverse(self, p):
+        """r -> G^{-1} r for G = I + D_{1/p} K^T K D_{1/p}, exact to
+        roundoff, on an n-vector or an n x k block.
+
+        Here, for an operator with no structure: G assembled from
+        normal_matrix and LU-factored once.  The subclasses override it
+        with their structure (see the module docstring).
+        """
+        # every solve calls LAPACK directly: cho_solve and lu_solve add a
+        # finiteness scan and shape checks worth about 8 us a call, and a
+        # non-finite r ends as a non-finite result, which the Krylov
+        # solvers stop on.  Here one Fortran-ordered array is scaled and
+        # LU-factored in place
+        n = p.size
+        dinv = 1.0 / p
+        G = np.multiply(self.normal_matrix, dinv[:, None], order="F")
+        G *= dinv[None, :]
+        G[np.arange(n), np.arange(n)] += 1.0
+        lu, piv = sla.lu_factor(G, overwrite_a=True)
+        getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
+        return lambda r: getrs(lu, piv, r)[0]
+
 
 class ZeroOperator(ForwardOperator):
     """K = 0; the control problem degenerates to a weighted projection.
 
-    K^T K = 0 has the exact factor of rank 0.
+    K^T K = 0 has the exact factor of rank 0, and G = I.
     """
 
     normal_rank = 0
 
-    def normal_project(self, y):
-        return np.zeros((0,) + y.shape[1:])
-
     def normal_expand(self, z):
         return np.zeros((self.level.n_dof,) + z.shape[1:])
 
-    def normal_gram(self, w):
-        return np.zeros((0, 0))
+    def scaled_inverse(self, p):
+        return np.copy
 
     def _apply(self, u):
         return np.zeros_like(u)
@@ -282,6 +303,33 @@ class ParabolicOperator(ForwardOperator):
         gram += np.outer(phi, np.conj(phi)) * conj_w_hat(k[:, None] - k)
         return 0.5 * np.outer(s, s) * gram.real
 
+    def scaled_inverse(self, p):
+        """r -> G^{-1} r with G = I + B B^T, B = D F, by the Woodbury identity:
+        r - normal_expand(core^{-1} normal_project(r/p))/p.  Only the
+        Cholesky factor of the r x r core I_r + normal_gram(1/p^2) is stored.
+
+        Raises RuntimeError when the core has no Cholesky factor (lambda
+        near 0 leaves it indefinite to roundoff, or 1/p^2 overflows).
+        """
+        core = self.normal_gram(1.0 / (p * p))
+        if not core.size:
+            # every mode underflowed (a large c): K^T K = 0, so G = I (and
+            # LAPACK takes no 0 x 0)
+            return np.copy
+        core[np.diag_indices_from(core)] += 1.0
+        try:
+            core, lower = sla.cho_factor(core, overwrite_a=True)
+        except ValueError as exc:  # LinAlgError included
+            raise RuntimeError(f"coarse Woodbury core has no Cholesky factor: {exc}") from exc
+        potrs, = sla.get_lapack_funcs(("potrs",), (core,))
+
+        def solve(r):
+            q = p if r.ndim == 1 else p[:, None]
+            z = potrs(core, self.normal_project(r / q), lower=lower)[0]
+            return r - self.normal_expand(z) / q
+
+        return solve
+
     @cached_property
     def _band(self):
         """(symbol, split): the kept modes of the symbol, and the split plan.
@@ -408,6 +456,18 @@ def parabolic_build(level, config=None, level_index=0):
     return ParabolicOperator(level_index, level, config)
 
 
+# Largest coarse level whose band solve skips its refinement step (see
+# EllipticOperator.scaled_inverse).  The step makes a solve 2.2 to 2.5
+# times as long: 12 -> 30 us on 16 x 16 cells (225 dof; 14 -> 35 us before
+# csr_apply), which made a 2D 32/2 solve 27% slower overall.  Unrefined,
+# the G residual on 16 x 16 cells stays at most 2e-13 (refined: 1e-13
+# where G is stiffest); it grows with cond(A)^2, to 6e-13 on 32 x 32
+# cells, 3e-12 on 64 x 64 and 1e-11 late in a two-level solve on
+# 128 x 128 cells (64 x 64 coarse), on which the CGS around it can stall
+# at krylov_maxit.
+BAND_UNREFINED_MAX_DOF = 225
+
+
 @dataclass(frozen=True)
 class EllipticConfig:
     """Options of the 2D solution map: there are none.
@@ -432,7 +492,7 @@ class EllipticOperator(ForwardOperator):
 
     L and M are sparse, so K^T K = M L^{-2} M has no low-rank factor, but
     L^2 + M diag(w) M is banded: stiffness_band(w) gives its lower band,
-    for the coarse Woodbury inverse (see mgipm.precond).
+    which scaled_inverse factors.
     """
 
     def __init__(self, level_index, level):
@@ -461,8 +521,8 @@ class EllipticOperator(ForwardOperator):
 
     def stiffness_residual(self, c, z):
         """c - L^2 z for two n-vectors or n x k blocks, with L^2 the diagonal
-        n^4 Lambda^2 in the sine basis; it refines the coarse band solves
-        (see mgipm.precond)."""
+        n^4 Lambda^2 in the sine basis; it refines the band solves of
+        scaled_inverse."""
         return c - self._in_sine_basis(z, lambda y: self._neg_eig**2 * y)
 
     def _apply_transpose(self, u):
@@ -521,6 +581,38 @@ class EllipticOperator(ForwardOperator):
                               slice(y0 + sy + 1, y1 + sy + 1))
                     terms.append((dx * m + dy, target, middle, cs * ct))
         return terms
+
+    def scaled_inverse(self, p):
+        """r -> G^{-1} r with G = I + Z^T Z, Z = L^{-1} M D, by the Woodbury
+        identity: r - M H^{-1} M (r/p)/p with the band H = L^2 + M D^2 M =
+        stiffness_band(1/p^2), factored once in place (LAPACK pbtrf).  H
+        squares the condition number of L, so above BAND_UNREFINED_MAX_DOF
+        nodes each solve takes one step of iterative refinement.
+
+        Raises RuntimeError when the band has no finite Cholesky factor.
+        """
+        w = 1.0 / (p * p)
+        band = self.stiffness_band(w)
+        pbtrf, pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
+        band, info = pbtrf(band, lower=1, overwrite_ab=1)
+        if info or not np.isfinite(band[0]).all():
+            raise RuntimeError(
+                f"coarse band core has no finite Cholesky factor (pbtrf info {info})")
+        mass = self.level.mass_matrix
+        refine = p.size > BAND_UNREFINED_MAX_DOF
+
+        def solve(r):
+            q = p if r.ndim == 1 else p[:, None]
+            b = csr_apply(mass, r / q)
+            z = pbtrs(band, b, lower=1, overwrite_b=not refine)[0]
+            if refine:
+                # b - H z = c - L^2 z with c = b - M D^2 M z
+                d2mz = csr_apply(mass, z) * (w if r.ndim == 1 else w[:, None])
+                c = b - csr_apply(mass, d2mz)
+                z += pbtrs(band, self.stiffness_residual(c, z), lower=1, overwrite_b=1)[0]
+            return r - csr_apply(mass, z) / q
+
+        return solve
 
 
 def elliptic_build(level, config=None, level_index=0):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from mgipm import precond
+from mgipm import operators
 from mgipm.cli import (
     _SCHEMA,
     ConfigError,
@@ -292,7 +292,7 @@ class TestScipyProductOracle:
         # outer iteration 5 and write no CSV
         if refine_above is not None:
             # every band solve takes its refinement step
-            monkeypatch.setattr(precond, "BAND_UNREFINED_MAX_DOF", refine_above)
+            monkeypatch.setattr(operators, "BAND_UNREFINED_MAX_DOF", refine_above)
         cfg = {"experiment": "elliptic-2d", "finest_n": 16, "levels": levels,
                "beta": 1e-5}
 
@@ -307,7 +307,7 @@ class TestScipyProductOracle:
             if name.startswith("mgipm") and getattr(module, "csr_apply", None) is csr_apply:
                 monkeypatch.setattr(module, "csr_apply", lambda a, x: a @ x)
                 patched.add(name)
-        assert {"mgipm.grid", "mgipm.operators", "mgipm.precond"} <= patched
+        assert patched == {"mgipm.grid", "mgipm.operators"}
         assert len(shipped) == 3
         assert csvs(tmp_path / "scipy") == shipped
 
@@ -632,6 +632,24 @@ class TestMain:
         )
         assert main(["spectral", path]) == 0
         assert (tmp_path / "spectral.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta", "0.5"), ("--levels", "7"), ("--finest-n", "3"),
+    ])
+    def test_spectral_subcommand_rejects_run_overrides(self, tmp_path, capsys,
+                                                      flag, value):
+        # the table reads neither beta nor the grid keys, so these flags
+        # must fail, not be ignored
+        path = write_config(
+            tmp_path,
+            "experiment = spectral-table\nh_list = 0.125\nbeta_list = 1.0\n"
+            f"output_dir = {tmp_path}\n",
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["spectral", path, flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "spectral.csv").exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         outs = []

@@ -212,13 +212,11 @@ class TestNormalMembers:
         H = op.normal_matrix
         assert gap(F @ F.T, H) <= 1e-14
 
-    def test_zero_operator_works_at_rank_zero(self, rng):
+    def test_zero_operator_works_at_rank_zero(self):
         level = build_hierarchy("periodic-interval", 16, 1).finest
         op = ZeroOperator(0, level)
-        assert op.normal_project(rng.standard_normal(16)).shape == (0,)
-        assert op.normal_project(rng.standard_normal((16, 2))).shape == (0, 2)
         assert_array_equal(op.normal_expand(np.zeros(0)), np.zeros(16))
-        assert op.normal_gram(np.ones(16)).shape == (0, 0)
+        assert_array_equal(op.normal_expand(np.zeros((0, 2))), np.zeros((16, 2)))
 
 
 class TestNormalMatrix:
@@ -360,11 +358,6 @@ class TestStiffnessBand:
             assert out.shape == shape
             assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
         assert op.matvec_counter == 0
-
-    def test_structureless_operators_have_none(self):
-        level = build_hierarchy("periodic-interval", 16, 1).finest
-        assert parabolic_build(level, ParabolicConfig()).stiffness_band is None
-        assert ZeroOperator(0, level).stiffness_band is None
 
 
 class TestAdjointH:

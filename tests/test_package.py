@@ -6,9 +6,10 @@ from dataclasses import fields
 import pytest
 
 import mgipm
+from mgipm import precond
 from mgipm.grid import GridLevel
 from mgipm.krylov import KrylovReport
-from mgipm.operators import elliptic_build
+from mgipm.operators import ForwardOperator, elliptic_build
 
 MODULES = ("grid", "operators", "krylov", "precond", "ipm", "diagnostics", "cli")
 
@@ -26,6 +27,18 @@ REMOVED = (
     "ReducedSystem",
     "restrict",
 )
+
+
+# the exact coarse inverse belongs to the operator (scaled_inverse): the
+# preconditioner keeps no structure dispatch, band constant or LAPACK
+# import, and the base class no band sentinel
+def test_precond_keeps_no_coarse_structure():
+    assert not hasattr(precond, "_exact_inverse")
+    assert not hasattr(precond, "BAND_UNREFINED_MAX_DOF")
+    assert not hasattr(ForwardOperator, "stiffness_band")
+    assert not hasattr(precond, "csr_apply")
+    assert not any(getattr(value, "__name__", None) == "scipy.linalg"
+                   for value in vars(precond).values())
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -266,6 +266,46 @@ class TestBuildPreconditioner:
             assert z is not r
             assert_array_equal(z, r)
 
+    def test_underflowed_parabolic_coarse_solve_is_the_identity(self, rng):
+        # at c = 1000 and c1 = 0.01 every mode of the symbol underflows to 0:
+        # K^T K = 0 has rank 0, LAPACK takes no 0 x 0 core, and G = I
+        hier = build_hierarchy("periodic-interval", 32, 2)
+        cfg = ParabolicConfig(c=1000.0, c1=0.01)
+        ops = [parabolic_build(lv, cfg, level_index=i) for i, lv in enumerate(hier.levels)]
+        assert ops[0].normal_rank == 0
+        mg = build_preconditioner(hier, ops, NodalField(1, np.full(64, 2.0)), 1.0)
+        for r in (rng.standard_normal(32), rng.standard_normal((32, 3))):
+            z = mg.coarse_solve(r)
+            assert z is not r
+            assert_array_equal(z, r)
+
+    def test_auto_takes_the_coarsest_operators_scaled_inverse(self, rng):
+        # the one seam between the preconditioner and the coarse structure:
+        # "auto" calls scaled_inverse once, on the coarsest operator with
+        # the coarsest p, and keeps what it returns; "cg" never calls it
+        calls = []
+
+        def inverse(r):
+            return 2.0 * r
+
+        class CountingZero(ZeroOperator):
+            def scaled_inverse(self, p):
+                calls.append((self.level_index, p))
+                return inverse
+
+        hier = build_hierarchy("periodic-interval", 8, 3)
+        ops = [CountingZero(i, lv) for i, lv in enumerate(hier.levels)]
+        lam = NodalField(2, 1.0 + rng.random(32))
+        mg = build_preconditioner(hier, ops, lam, 1.0)
+        assert len(calls) == 1
+        assert calls[0][0] == 0
+        assert calls[0][1] is mg.systems[0].p
+        assert mg.coarse_inverse is inverse
+        r = rng.standard_normal(8)
+        assert_array_equal(mg.coarse_solve(r), 2.0 * r)
+        build_preconditioner(hier, ops, lam, 1.0, coarsest_solver="cg")
+        assert len(calls) == 1
+
     def test_dense_coarse_solve_passes_nan_on(self, rng):
         # the LU solve does not scan for non-finite input: a NaN residual
         # gives a NaN correction, and CGS stops on the NaN residual
