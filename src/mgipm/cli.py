@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -51,7 +50,8 @@ class RunArtifacts:
 # reals.  The operator coefficients and solver options are the fields of
 # ParabolicConfig and IpmOptions, typed by their annotation strings
 _FIELD_TYPES = {"float": float, "int": int, "str": str}
-_SCHEMA = {
+_OPERATOR_KEYS = {f.name: _FIELD_TYPES[f.type] for f in fields(ParabolicConfig)}
+_CONTROL_KEYS = {
     "experiment": str,
     "finest_n": int,
     "levels": int,
@@ -60,11 +60,16 @@ _SCHEMA = {
     "hi": float,
     "bounds_file": str,
     "output_dir": str,
-    **{f.name: _FIELD_TYPES[f.type]
-       for cls in (ParabolicConfig, IpmOptions) for f in fields(cls)},
-    "h_list": "floatlist",
-    "beta_list": "floatlist",
+    **{f.name: _FIELD_TYPES[f.type] for f in fields(IpmOptions)},
 }
+# the keys each experiment reads; any other is a config error
+_READS = {
+    "parabolic-1d": {**_CONTROL_KEYS, **_OPERATOR_KEYS},
+    "elliptic-2d": _CONTROL_KEYS,
+    "spectral-table": {"experiment": str, "output_dir": str, **_OPERATOR_KEYS,
+                       "h_list": "floatlist", "beta_list": "floatlist"},
+}
+_SCHEMA = {key: kind for keys in _READS.values() for key, kind in keys.items()}
 
 
 def parse_config(path):
@@ -88,10 +93,8 @@ def parse_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if "experiment" not in raw:
         raise ConfigError(f"{path}: missing required key 'experiment'")
-    if raw["experiment"] not in _EXPERIMENTS:
-        raise ConfigError(
-            f"{path}: experiment must be one of {', '.join(_EXPERIMENTS)}"
-        )
+    if raw["experiment"] not in _READS:
+        raise ConfigError(f"{path}: experiment must be one of {', '.join(_READS)}")
     return raw
 
 
@@ -193,31 +196,8 @@ def _bounds(cfg, n, default_lo, default_hi):
 
 
 def _dataclass_config(cls, cfg):
-    """cls from the config keys named by its fields; a value it rejects is a ConfigError."""
-    kw = {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
-    try:
-        return cls(**kw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _operator(build, level, level_index):
-    """build(level, level_index=...); a level it rejects is a ConfigError."""
-    try:
-        return build(level, level_index=level_index)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _problem(hier, ops, f_vals, beta, lo, hi):
-    finest = hier.n_levels - 1
-    try:
-        return ControlProblem(
-            hier, ops, NodalField(finest, f_vals), beta,
-            NodalField(finest, lo), NodalField(finest, hi),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """cls from the config keys named by its fields."""
+    return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name in cfg})
 
 
 def _hierarchy(cfg, kind, default_n):
@@ -226,14 +206,9 @@ def _hierarchy(cfg, kind, default_n):
     n0 = finest_n
     for _ in range(levels - 1):
         if n0 % 2:
-            raise ConfigError(
-                f"finest_n={finest_n} not divisible for {levels} levels"
-            )
+            raise ConfigError(f"finest_n={finest_n} not divisible for {levels} levels")
         n0 //= 2
-    try:
-        return build_hierarchy(kind, n0, levels), finest_n, levels
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return build_hierarchy(kind, n0, levels), finest_n, levels
 
 
 def _write_run(experiment, finest_n, levels, beta, result, out_dir):
@@ -270,16 +245,23 @@ def _run_control(cfg, experiment, kind, default_n, build, target, bounds, beta,
 
     build(level, level_index=i) makes each level's operator, target maps the
     finest node coordinates to u0, and bounds (lo, hi), beta and options
-    (IpmOptions fields) are the defaults that the config overrides.
+    (IpmOptions fields) are the defaults that the config overrides.  A
+    ValueError anywhere in the set-up is a ConfigError; the solve's own
+    failures are not.
     """
-    hier, finest_n, levels = _hierarchy(cfg, kind, default_n)
-    ops = [_operator(build, lv, i) for i, lv in enumerate(hier.levels)]
-    finest = hier.finest
-    f_vals = ops[-1].apply(target(node_coordinates(finest)))
-    lo, hi = _bounds(cfg, finest.n_dof, *bounds)
-    beta = cfg.get("beta", beta)
-    result = solve(_problem(hier, ops, f_vals, beta, lo, hi),
-                   _dataclass_config(IpmOptions, {**options, **cfg}))
+    try:
+        hier, finest_n, levels = _hierarchy(cfg, kind, default_n)
+        ops = [build(lv, level_index=i) for i, lv in enumerate(hier.levels)]
+        finest = hier.n_levels - 1
+        f_vals = ops[-1].apply(target(node_coordinates(hier.finest)))
+        lo, hi = _bounds(cfg, hier.finest.n_dof, *bounds)
+        beta = cfg.get("beta", beta)
+        problem = ControlProblem(hier, ops, NodalField(finest, f_vals), beta,
+                                 NodalField(finest, lo), NodalField(finest, hi))
+        opts = _dataclass_config(IpmOptions, {**options, **cfg})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    result = solve(problem, opts)
     arts = _write_run(experiment, finest_n, levels, beta, result,
                       cfg.get("output_dir", "."))
     return arts, result.converged
@@ -287,10 +269,12 @@ def _run_control(cfg, experiment, kind, default_n, build, target, bounds, beta,
 
 def run_parabolic(cfg):
     """1D source identification: two-bump target, f = K u0, box bounds."""
-    op_cfg = _dataclass_config(ParabolicConfig, {"c1": 1.0, **cfg})
-    return _run_control(cfg, "parabolic-1d", "periodic-interval", 1024,
-                        partial(parabolic_build, config=op_cfg), two_bump_target,
-                        (0.0, 1.0), 1e-3, {})
+    def build(level, level_index):
+        config = _dataclass_config(ParabolicConfig, {"c1": 1.0, **cfg})
+        return parabolic_build(level, config, level_index)
+
+    return _run_control(cfg, "parabolic-1d", "periodic-interval", 1024, build,
+                        two_bump_target, (0.0, 1.0), 1e-3, {})
 
 
 def run_elliptic(cfg):
@@ -316,28 +300,30 @@ def run_spectral_table(cfg):
     the summed ranks of the two levels' normal factors: 59, 74, 98 and
     146 at the default 1/h = 80, 160, 320 and 640.  A cell that fails
     numerically (a coarse core with no Cholesky factor, a spectrum off the
-    right half line) raises RuntimeError, which main reports as a solver error.
+    right half line) raises RuntimeError, which main reports as a solver
+    error; a ValueError, the operators' own checks included, is a ConfigError.
     """
-    op_cfg = _dataclass_config(ParabolicConfig, {"c1": 2.0, **cfg})
     h_list = cfg.get("h_list", (1 / 80, 1 / 160, 1 / 320, 1 / 640))
     beta_list = cfg.get("beta_list", (1.0, 0.1, 0.01))
-    for h in h_list:
-        inv = 1.0 / h if h > 0.0 else 0.0
-        n = round(inv) if np.isfinite(inv) else 0
-        if not (8 <= n <= DENSE_LIMIT and n % 2 == 0 and abs(inv - n) <= 1e-9 * n):
-            raise ConfigError(
-                f"h_list entry {h!r}: 1/h must be an even integer"
-                f" between 8 and {DENSE_LIMIT}"
-            )
-    for beta in beta_list:
-        if not (np.isfinite(beta) and beta > 0.0):
-            raise ConfigError(f"beta_list entry {beta!r} must be positive and finite")
-    reports = spectral_distance_table(
-        partial(_operator, partial(parabolic_build, config=op_cfg)),
-        lambda xs: np.sin(np.pi * xs) / np.pi,
-        h_list=h_list,
-        beta_list=beta_list,
-    )
+    try:
+        op_cfg = _dataclass_config(ParabolicConfig, {"c1": 2.0, **cfg})
+        for h in h_list:
+            inv = 1.0 / h if h > 0.0 else 0.0
+            n = round(inv) if np.isfinite(inv) else 0
+            if not (8 <= n <= DENSE_LIMIT and n % 2 == 0 and abs(inv - n) <= 1e-9 * n):
+                raise ConfigError(f"h_list entry {h!r}: 1/h must be an even integer"
+                                  f" between 8 and {DENSE_LIMIT}")
+        for beta in beta_list:
+            if not (np.isfinite(beta) and beta > 0.0):
+                raise ConfigError(f"beta_list entry {beta!r} must be positive and finite")
+        reports = spectral_distance_table(
+            lambda level, i: parabolic_build(level, op_cfg, i),
+            lambda xs: np.sin(np.pi * xs) / np.pi,
+            h_list=h_list,
+            beta_list=beta_list,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out_dir = cfg.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "spectral.csv")
@@ -356,7 +342,6 @@ _RUNNERS = {
     "elliptic-2d": run_elliptic,
     "spectral-table": run_spectral_table,
 }
-_EXPERIMENTS = tuple(_RUNNERS)
 
 
 def _execute(path, overrides):
@@ -364,7 +349,11 @@ def _execute(path, overrides):
     try:
         cfg = parse_config(path)
         cfg.update(overrides)
-        _, converged = _RUNNERS[cfg["experiment"]](cfg)
+        experiment = cfg["experiment"]
+        unread = sorted(cfg.keys() - _READS[experiment].keys())
+        if unread:
+            raise ConfigError(f"{path}: {experiment} reads no {', '.join(unread)}")
+        _, converged = _RUNNERS[experiment](cfg)
         if converged:
             return 0
         n_outer = cfg.get("max_outer", IpmOptions.max_outer)

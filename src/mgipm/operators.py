@@ -176,8 +176,9 @@ class ParabolicConfig:
     The time step targets k = c1*h; the step count N_t = ceil(T/(c1*h)) is
     then used with k = T/N_t so the final time is hit exactly (the two agree
     whenever T/(c1*h) is an integer).  Out-of-range values raise
-    ValueError at construction, and a c1 so small that T/(c1*h) is not
-    finite raises it when the operator is built.
+    ValueError at construction, a T/(c1*h) that is not finite raises it
+    when the operator is built, and coefficients so large that the time
+    step overflows raise it when the operator's modes are first computed.
     """
 
     a: float = 4e-3
@@ -208,7 +209,9 @@ class ParabolicOperator(ForwardOperator):
         h = level.h
         target = config.c1 * h
         if not (target and isfinite(config.T / target)):
-            raise ValueError(f"time-step ratio c1={config.c1!r} is too small for h={h!r}")
+            raise ValueError(f"time-step ratio c1={config.c1!r} leaves T/(c1*h) not"
+                             f" finite for T={config.T!r} and h={h!r}")
+        self.config = config
         self.n_steps = max(1, ceil(config.T / target))
         self.dt = config.T / self.n_steps
         a, b, c = config.a, config.b, config.c
@@ -350,11 +353,17 @@ class ParabolicOperator(ForwardOperator):
         # i.e. the conjugate FFT of the row; K is real, so the modes
         # k = 0..n//2 hold it all (mode n-k is the conjugate of mode k)
         m_hat, s_hat = np.conj(rfft(self._first_rows, axis=1))
-        half = 0.5 * self.dt * s_hat
-        step = (m_hat - half) / (m_hat + half)
+        # coefficients near the float range overflow the transport modes
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = 0.5 * self.dt * s_hat
+            step = (m_hat - half) / (m_hat + half)
         # |symbol| = |step|^n_steps, so mode k is kept when
         # n_steps log(|step_k| / max|step|) > log eps; only those are raised
         mag = np.abs(step)
+        if not np.isfinite(mag).all():
+            c = self.config
+            raise ValueError(f"parabolic coefficients a={c.a!r}, b={c.b!r}, c={c.c!r}"
+                             f" overflow the time step on h={self.level.h!r}")
         # past n_steps of about 6e17, eps^(1/n_steps) rounds to 1; the cut
         # then stays just below the maximum, so the modes at it are kept
         cut = min(mag.max() * _EPS ** (1.0 / self.n_steps), np.nextafter(mag.max(), 0.0))

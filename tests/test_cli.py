@@ -12,6 +12,8 @@ import scipy.fft
 
 from mgipm import operators
 from mgipm.cli import (
+    _READS,
+    _RUNNERS,
     _SCHEMA,
     ConfigError,
     emit_csv,
@@ -503,16 +505,43 @@ class TestMain:
         ("run", "experiment = parabolic-1d\nfinest_n = 64\n"),
         ("spectral", "experiment = spectral-table\nh_list = 0.125\n"),
     ], ids=["run", "spectral"])
-    @pytest.mark.parametrize("c1", ["1e-310", "5e-324"])
+    @pytest.mark.parametrize("c1, T", [
+        pytest.param("1e-310", None, id="1e-310"),
+        pytest.param("5e-324", None, id="5e-324"),
+        pytest.param("1", "1e308", id="T=1e308"),
+    ])
     def test_subnormal_time_step_ratio_is_a_config_error(self, tmp_path, capsys,
-                                                         command, body, c1):
+                                                         command, body, c1, T):
         # c1 h underflows to 0 at 5e-324 and T/(c1 h) overflows at 1e-310;
-        # both ended in a traceback (ZeroDivisionError, OverflowError)
+        # both ended in a traceback (ZeroDivisionError, OverflowError).  At
+        # T = 1e308 T/(c1 h) overflows with c1 = 1, so the message names T
+        if T is not None:
+            body += f"T = {T}\n"
         path = write_config(tmp_path, f"{body}c1 = {c1}\noutput_dir = {tmp_path}\n")
         assert main([command, path]) == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"config error: time-step ratio c1={float(c1)!r}")
         assert len(err.splitlines()) == 1
+        assert not list(tmp_path.glob("*.csv"))
+        if T is not None:
+            assert f"T={float(T)!r}" in err
+
+    @pytest.mark.parametrize("command, body", [
+        ("run", "experiment = parabolic-1d\nfinest_n = 64\na = 1e308\n"),
+        ("run", "experiment = parabolic-1d\nfinest_n = 64\nc = 1e308\n"),
+        ("run", "experiment = spectral-table\nh_list = 0.125\na = 1e308\n"),
+        ("spectral", "experiment = spectral-table\nh_list = 0.125\na = 1e308\n"),
+    ], ids=["run-a", "run-c", "run-spectral-a", "spectral-a"])
+    def test_overflowing_coefficient_is_a_config_error(self, tmp_path, capsys,
+                                                       command, body):
+        # the transport modes overflow to a NaN step modulus, which ended in
+        # an IndexError from the band cut, after two RuntimeWarnings
+        path = write_config(tmp_path, f"{body}output_dir = {tmp_path}\n")
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: parabolic coefficients a=")
+        assert "overflow the time step" in err
+        assert len(err.strip().splitlines()) == 1
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("levels", [1, 2])
@@ -668,6 +697,84 @@ class TestMain:
             first = (outs[0] / name).read_bytes()
             second = (outs[1] / name).read_bytes()
             assert first == second
+
+
+class TestUnreadKeys:
+    """Each experiment reads a fixed set of keys (cli._READS); any other,
+    from the file or from a command-line override, is one config error
+    line, exit 1, before anything is written."""
+
+    def check(self, tmp_path, capsys, argv, experiment, unread):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (f"config error: {argv[1]}: {experiment} reads no "
+                       f"{', '.join(unread)}\n")
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["run", "spectral"])
+    def test_spectral_table_reads_no_control_keys(self, tmp_path, capsys, command):
+        path = write_config(
+            tmp_path,
+            "experiment = spectral-table\nh_list = 0.125\nbeta_list = 1.0\n"
+            f"lo = -1\nmax_outer = 3\nfinest_n = 16\noutput_dir = {tmp_path}\n",
+        )
+        self.check(tmp_path, capsys, [command, path], "spectral-table",
+                   ["finest_n", "lo", "max_outer"])
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--beta", "0.5", "beta"), ("--levels", "7", "levels"),
+        ("--finest-n", "3", "finest_n"),
+    ])
+    def test_run_overrides_the_table_does_not_read(self, tmp_path, capsys, flag,
+                                                    value, key):
+        path = write_config(
+            tmp_path,
+            "experiment = spectral-table\nh_list = 0.125\nbeta_list = 1.0\n"
+            f"output_dir = {tmp_path}\n",
+        )
+        self.check(tmp_path, capsys, ["run", path, flag, value], "spectral-table",
+                   [key])
+
+    @pytest.mark.parametrize("key, value", [("a", "-5"), ("c1", "1e-300"),
+                                            ("h_list", "0.5")])
+    def test_elliptic_reads_no_parabolic_or_table_keys(self, tmp_path, capsys, key,
+                                                       value):
+        path = write_config(
+            tmp_path,
+            "experiment = elliptic-2d\nfinest_n = 16\nlevels = 1\n"
+            f"{key} = {value}\noutput_dir = {tmp_path}\n",
+        )
+        self.check(tmp_path, capsys, ["run", path], "elliptic-2d", [key])
+
+    def test_parabolic_reads_no_table_keys(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            "experiment = parabolic-1d\nfinest_n = 16\nlevels = 1\n"
+            f"h_list = 0.125\noutput_dir = {tmp_path}\n",
+        )
+        self.check(tmp_path, capsys, ["run", path], "parabolic-1d", ["h_list"])
+
+    @pytest.mark.parametrize("body, reason", [
+        ("h_list = 0.012345679\n", "h_list entry 0.012345679: 1/h must be an even"),
+        ("h_list = 0\n", "h_list entry 0.0: 1/h must be an even"),
+        ("h_list = 0.0625\nbeta_list = 1, 0\n", "beta_list entry 0.0 must be positive"),
+    ], ids=["h_list-odd", "h_list-0", "beta_list-0"])
+    def test_table_values_are_checked_without_control_keys(self, tmp_path, capsys,
+                                                           body, reason):
+        # the table's own checks, which a config that also holds finest_n
+        # no longer reaches
+        path = write_config(
+            tmp_path, f"experiment = spectral-table\n{body}output_dir = {tmp_path}\n")
+        assert main(["spectral", path]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {reason}")
+
+    def test_every_key_is_read_by_some_experiment(self):
+        read = set().union(*_READS.values())
+        assert read <= set(_SCHEMA)
+        assert set(_SCHEMA) - {"experiment", "output_dir"} <= read
+        assert all({"experiment", "output_dir"} <= set(keys)
+                   for keys in _READS.values())
+        assert set(_READS) == set(_RUNNERS)
 
 
 class TestBoundsFile:

@@ -5,6 +5,8 @@ map against a separable eigenfunction and the assembled dense -A^{-1} M,
 and the adjoints against dense transposes.
 """
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -118,6 +120,28 @@ class TestParabolicBuild:
         assert op.normal_rank >= 1
         u = np.full(n, 0.75)
         assert np.allclose(op.apply(u), u, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n, config", [
+        (64, ParabolicConfig(a=1e308)), (64, ParabolicConfig(c=1e308)),
+        (64, ParabolicConfig(a=1e306)), (4, ParabolicConfig(a=1e308, c1=2.0)),
+    ], ids=["a=1e308", "c=1e308", "a=1e306", "a=1e308-n=4"])
+    def test_overflowing_coefficients_raise_value_error(self, n, config):
+        # the transport modes overflow, the step modulus is NaN and no mode
+        # passed the band cut (an IndexError).  Nothing on the way warns
+        level = build_hierarchy("periodic-interval", n, 1).finest
+        op = parabolic_build(level, config)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"a={config.a!r}, b=0.4, c={config.c!r} overflow")):
+                op.apply(np.ones(n))
+            with pytest.raises(ValueError, match="overflow the time step"):
+                op.normal_rank
+
+    def test_large_coefficient_on_a_coarse_grid_still_applies(self):
+        # a = 1e306 overflows from n = 64 up; at n = 16 the modes stay finite
+        level = build_hierarchy("periodic-interval", 16, 1).finest
+        op = parabolic_build(level, ParabolicConfig(a=1e306))
+        assert np.all(np.isfinite(op.apply(np.ones(16))))
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ from dataclasses import fields
 import pytest
 
 import mgipm
-from mgipm import precond
+from mgipm import cli, precond
 from mgipm.grid import GridLevel
 from mgipm.krylov import KrylovReport
 from mgipm.operators import ForwardOperator, elliptic_build
@@ -39,6 +39,13 @@ def test_precond_keeps_no_coarse_structure():
     assert not hasattr(precond, "csr_apply")
     assert not any(getattr(value, "__name__", None) == "scipy.linalg"
                    for value in vars(precond).values())
+
+
+# each runner turns its whole set-up's ValueErrors into one ConfigError, so
+# the cli keeps no per-step converter
+def test_cli_keeps_no_config_error_converters():
+    assert not hasattr(cli, "_operator")
+    assert not hasattr(cli, "_problem")
 
 
 @pytest.mark.parametrize("name", MODULES)
