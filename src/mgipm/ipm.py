@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
+import scipy.linalg as sla
 
 from mgipm.grid import GridHierarchy, NodalField, discrete_w2inf, unwrap
 from mgipm.krylov import cg, cgs
@@ -189,11 +190,10 @@ def kkt_residuals(prob, state, ktwf=None):
     r_u = ktwf - prob.beta * w * u - op.apply_transpose(w * op.apply(u)) - v2 + v1
     r_v1 = -v1 * (u - lo)
     r_v2 = -v2 * (hi - u)
-    norms = (
-        float(np.linalg.norm(r_u)),
-        float(np.linalg.norm(r_v1)),
-        float(np.linalg.norm(r_v2)),
-    )
+    # BLAS nrm2 scales as it sums, so a norm past the square root of the
+    # float range (huge beta) stays finite; unchecked, a non-finite block
+    # gives a non-finite norm, not a ValueError
+    norms = tuple(float(sla.norm(r, check_finite=False)) for r in (r_u, r_v1, r_v2))
     return r_u, r_v1, r_v2, norms
 
 
@@ -266,7 +266,9 @@ def _max_step(x, dx, toward, bound=None):
         np.negative(gap, out=gap)
     else:
         np.subtract(bound[toward], gap, out=gap)
-    gap /= dx[toward]
+    # a ratio past the float range is +inf, no bound in reach
+    with np.errstate(over="ignore"):
+        gap /= dx[toward]
     return gap.min(initial=np.inf)
 
 

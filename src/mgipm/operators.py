@@ -22,11 +22,12 @@ L is the largest divisor up to sqrt(n).  A wide band, or an n whose split
 tables would be large (n prime, or twice a prime), keeps the plain
 length-n round trip with the symbol cut at kmax.
 
-The same two halves, restricted to the modes of K^T K above roundoff,
-give F^T y and F z for the real Fourier factor F of K^T K = F F^T, and
-F^T diag(w) F has a closed form in the rfft of w.  These three members
-(normal_project, normal_expand, normal_gram) and the rank r are all an
-operator says of F, and nothing forms the n x r factor.
+The split serves the apply alone.  For the real Fourier factor F of
+K^T K = F F^T, F^T y is one rfft of y read at the modes of K^T K above
+roundoff, F z is one irfft of those modes, and F^T diag(w) F has a closed
+form in the rfft of w.  These three members (normal_project,
+normal_expand, normal_gram) and the rank r are all an operator says of
+F, and nothing forms the n x r factor.
 
 The elliptic K = -L^{-1} M, L the five-point Laplacian and M the level's
 mass_matrix, has K^T K = M L^{-2} M and no low-rank factor, but L and M
@@ -254,30 +255,27 @@ class ParabolicOperator(ForwardOperator):
         return keep, paired, scale, scale * (n / c)
 
     def normal_project(self, y):
-        """F^T y from the kept modes of y: scale Re y_k, then -scale Im y_k
-        on the pairs."""
+        """F^T y from the kept modes of rfft(y): scale Re y_k, then
+        -scale Im y_k on the pairs."""
         keep, paired, scale, _ = self._normal_modes
         if y.ndim == 2:
             scale = scale[:, None]
-        modes = self._forward(y)[keep]
+        modes = rfft(y)[keep]
         sine = modes[paired].imag
         sine *= -scale[paired]
         modes = modes.real * scale
         return np.concatenate([modes, sine])
 
     def normal_expand(self, z):
-        """F z as the real signal of modes amp (z_cos - i z_sin)."""
+        """F z as the irfft of the modes amp (z_cos - i z_sin)."""
         keep, paired, _, amp = self._normal_modes
         n = self.level.n_dof
-        # _back takes the shape _forward gives
-        split = self._band[1] is not None and z.ndim == 1
-        rows = self._band[0].size if split else n // 2 + 1
         if z.ndim == 2:
             amp = amp[:, None]
-        v = np.zeros((rows,) + z.shape[1:], dtype=complex)
+        v = np.zeros((n // 2 + 1,) + z.shape[1:], dtype=complex)
         v.real[keep] = z[: keep.size] * amp
         v.imag[keep[paired]] = z[keep.size:] * -amp[paired]
-        return self._back(v, n)
+        return irfft(v, n)
 
     def normal_gram(self, w):
         """F^T diag(w) F in closed form from one rfft of w.
@@ -396,14 +394,19 @@ class ParabolicOperator(ForwardOperator):
         return self._filter(np.conj(self._band[0]), u)
 
     def _filter(self, symbol, u):
-        if self._band[1] is None:
-            # the modes past kmax are cut.  symbol goes first: numpy rounds
-            # a complex product by operand order, and this order gives a
-            # full band the bits of irfft(s * rfft(u))
-            v = self._forward(u)
+        """symbol times the modes of u up to kmax along axis 0, the modes
+        above cut: the plain round trip, or the split (see _band)."""
+        n = u.shape[0]
+        split = self._band[1]
+        if split is None:
+            # symbol goes first: numpy rounds a complex product by operand
+            # order, and this order gives a full band the bits of
+            # irfft(s * rfft(u))
+            v = rfft(u)
             head = v[: symbol.shape[0]]
             np.multiply(symbol if u.ndim == 1 else symbol[:, None], head, out=head)
-            return self._back(v, u.shape[0])
+            v[symbol.shape[0]:] = 0.0
+            return irfft(v, n)
         if u.ndim == 2:
             # one column at a time: a block's columns get the bits of single
             # applies, and no solve applies narrow-band blocks
@@ -411,43 +414,21 @@ class ParabolicOperator(ForwardOperator):
             for j in range(u.shape[1]):
                 y[:, j] = self._filter(symbol, u[:, j])
             return y
-        coef = self._forward(u)
-        coef *= symbol
-        return self._back(coef, u.shape[0])
-
-    def _forward(self, u):
-        """Forward half of the apply: the modes of u along axis 0, in the
-        rfft convention (sum_j u_j e^{-2 pi i j k / n}).
-
-        Rows 0..kmax are the kept modes.  A split vector gets those rows
-        only; the plain path and every block get all n//2 + 1 rows.
-        """
-        split = self._band[1]
-        if split is None or u.ndim == 2:
-            return rfft(u)
-        table, twiddle, _, _ = split
+        table, twiddle, back, weight = split
         # entry (b, l) of x is u[b L + l].  Column l's B-point sums for the
         # kept modes come out of one GEMM as L x (kmax + 1) complex numbers;
         # times twiddle and summed over l they are the modes of u
         x = u.reshape(table.shape[0], -1)
         r = (x.T @ table).view(complex)
         r *= twiddle
-        return r.sum(axis=0)
-
-    def _back(self, v, n):
-        """Back half: the real length-n signal whose rfft modes are the
-        rows of v up to kmax, and zero above.  Takes what _forward returns
-        for the same shape, and overwrites it."""
-        split = self._band[1]
-        if split is None or v.ndim == 2:
-            v[self._band[0].shape[0]:] = 0.0
-            return irfft(v, n)
-        table, _, back, weight = split
-        v *= weight
+        coef = r.sum(axis=0)
+        del r
+        coef *= symbol
+        coef *= weight
         # mode k times the back-twiddles; one GEMM with the table sums the
         # real parts.  OpenBLAS takes a C-ordered copy of the buffer's
         # transpose about 5 us faster at n = 16384 than the transposed view
-        r = back * v
+        r = back * coef
         w = np.ascontiguousarray(r.view(float).T)
         del r  # freed before the output is allocated: the peak is w and y
         return (table @ w).reshape(n)

@@ -501,6 +501,35 @@ class TestMain:
         _, rows = read_csv(tmp_path / "parabolic-1d_summary.csv")
         assert rows[0][-1] == "true"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", ["1e250", "1e300"])
+    def test_huge_beta_converges_quietly(self, tmp_path, capsys, beta):
+        # the KKT norms near 1e300 overflowed when squared, so the stopping
+        # test read nan: 1e250 took 23 outer iterations and 1e300 took 31,
+        # with an overflow warning each.  As at beta = 1e150 it takes 3
+        path = write_config(
+            tmp_path,
+            f"experiment = parabolic-1d\nfinest_n = 64\nlevels = 2\nbeta = {beta}\n"
+            f"output_dir = {tmp_path}\n",
+        )
+        assert main(["run", path]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(tmp_path / "parabolic-1d_summary.csv")
+        assert rows[0][4:] == ["3", "45", "true"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", [
+        "experiment = parabolic-1d\nfinest_n = 64\nlevels = 2\n",
+        "experiment = elliptic-2d\nfinest_n = 16\nlevels = 1\n",
+    ], ids=["parabolic", "elliptic"])
+    def test_far_bounds_run_quietly(self, tmp_path, capsys, body):
+        # with lo = -1e300 and hi = 1e300 the step ratio tests overflow to
+        # inf, which is the right answer; they warned four times a run
+        path = write_config(
+            tmp_path, f"{body}lo = -1e300\nhi = 1e300\noutput_dir = {tmp_path}\n")
+        assert main(["run", path]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("command, body", [
         ("run", "experiment = parabolic-1d\nfinest_n = 64\n"),
         ("spectral", "experiment = spectral-table\nh_list = 0.125\n"),

@@ -157,6 +157,17 @@ class TestKktResiduals:
         assert_allclose(r2, 2.0 * r1, rtol=1e-14)
 
 
+    def test_norms_past_the_square_root_of_the_float_range_stay_finite(self):
+        # at beta = 1e300 the dual residual is about 1e300: its square
+        # overflows, and the stopping test read inf/inf = nan
+        prob = toy_problem(TOY_K, TOY_F, beta=1e300)
+        state = make_state(np.full(3, 0.5), np.ones(3), np.ones(3))
+        r_u, _, _, norms = kkt_residuals(prob, state)
+        big = np.max(np.abs(r_u))
+        assert big > 1e200
+        assert norms[0] == pytest.approx(big * np.linalg.norm(r_u / big), rel=1e-15)
+
+
 class TestComputeMu:
     def test_midpoint_with_unit_multipliers(self):
         state = make_state(np.full(6, 0.5), np.ones(6), np.ones(6))
@@ -292,6 +303,16 @@ class TestStepLengths:
         ap, ad = step_lengths(state, du, z, z, np.zeros(4), np.ones(4), 0.99995)
         assert ap == pytest.approx(0.99995 * 0.5, rel=1e-15)
         assert ad == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_out_of_range_ratio_is_no_bound_in_reach(self):
+        # (1e300 - 0.5) / 1e-10 overflows to inf: the bound is out of reach,
+        # so the full step is taken, with no overflow warning
+        state = make_state(np.full(2, 0.5), np.ones(2), np.ones(2))
+        du = np.array([1e-10, -1e-10])
+        z = np.zeros(2)
+        lo, hi = np.full(2, -1e300), np.full(2, 1e300)
+        assert step_lengths(state, du, z, z, lo, hi, 0.99995) == (1.0, 1.0)
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)

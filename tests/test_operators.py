@@ -9,6 +9,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.fft
 from numpy.testing import assert_array_equal
 
 from conftest import (
@@ -191,9 +192,10 @@ class TestNormalMembers:
 
     F := normal_expand(I_r) is checked against normal_matrix, the K^T K
     materialized from applies; then normal_project is its transpose and
-    normal_gram its weighted Gram matrix.  The cases take the split path
-    (1024, 1030 = 103 x 10), the plain round trip (64, 1021 prime,
-    a = 1e-5 with 457 columns), and a full band whose factor has the
+    normal_gram its weighted Gram matrix.  The members take one rfft or
+    irfft at every size; the split flag only checks which plan the apply
+    has (1024 and 1030 = 103 x 10 split, 64, 1021 prime and a = 1e-5 with
+    457 columns take the round trip).  A full band's factor has the
     Nyquist column (16 cells at c1 = 2).
     """
 
@@ -235,6 +237,25 @@ class TestNormalMembers:
         assert op.matvec_counter == 0
         H = op.normal_matrix
         assert gap(F @ F.T, H) <= 1e-14
+
+    # 1024 and 1030 split the apply, 64 and 1021 do not; the members
+    # read the modes of one transform either way
+    @pytest.mark.parametrize("n", [64, 1021, 1024, 1030])
+    def test_have_the_bits_of_the_rfft_formula(self, n, rng):
+        level = build_hierarchy("periodic-interval", n, 1).finest
+        op = parabolic_build(level, ParabolicConfig())
+        keep, paired, scale, amp = op._normal_modes
+        for cols in ((), (3,)):
+            y = rng.standard_normal((n, *cols))
+            z = rng.standard_normal((op.normal_rank, *cols))
+            s, a = (scale, amp) if not cols else (scale[:, None], amp[:, None])
+            modes = scipy.fft.rfft(y, axis=0)[keep]
+            assert_array_equal(op.normal_project(y), np.concatenate(
+                [modes.real * s, modes[paired].imag * -s[paired]]))
+            v = np.zeros((n // 2 + 1, *cols), dtype=complex)
+            v.real[keep] = z[: keep.size] * a
+            v.imag[keep[paired]] = z[keep.size:] * -a[paired]
+            assert_array_equal(op.normal_expand(z), scipy.fft.irfft(v, n, axis=0))
 
     def test_zero_operator_works_at_rank_zero(self):
         level = build_hierarchy("periodic-interval", 16, 1).finest

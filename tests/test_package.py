@@ -9,7 +9,7 @@ import mgipm
 from mgipm import cli, precond
 from mgipm.grid import GridLevel
 from mgipm.krylov import KrylovReport
-from mgipm.operators import ForwardOperator, elliptic_build
+from mgipm.operators import ForwardOperator, ParabolicOperator, elliptic_build
 
 MODULES = ("grid", "operators", "krylov", "precond", "ipm", "diagnostics", "cli")
 
@@ -39,6 +39,13 @@ def test_precond_keeps_no_coarse_structure():
     assert not hasattr(precond, "csr_apply")
     assert not any(getattr(value, "__name__", None) == "scipy.linalg"
                    for value in vars(precond).values())
+
+
+# the band split serves the apply alone: the normal members take one
+# rfft or irfft, so the apply keeps no shared transform halves
+def test_parabolic_operator_keeps_no_transform_halves():
+    assert not hasattr(ParabolicOperator, "_forward")
+    assert not hasattr(ParabolicOperator, "_back")
 
 
 # each runner turns its whole set-up's ValueErrors into one ConfigError, so
