@@ -5,7 +5,8 @@ comment, booleans spelled true/false).  Three experiments are supported:
 a 1D parabolic source-identification run, a 2D elliptic run, and the
 dense spectral-distance table.  All real numbers in emitted CSVs are
 printed with 17 significant digits and no run metadata, so identical
-configs reproduce byte-identical files.
+configs reproduce byte-identical files.  A missing value (None or NaN) is
+an empty cell, a bool is true/false, and any other value is written by str.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from mgipm.diagnostics import DENSE_LIMIT, spectral_distance_table
+from mgipm.diagnostics import spectral_distance_table
 from mgipm.grid import NodalField, build_hierarchy, node_coordinates
 from mgipm.ipm import ControlProblem, IpmOptions, solve
 from mgipm.operators import ParabolicConfig, elliptic_build, parabolic_build
@@ -123,29 +124,17 @@ def _fmt_real(value):
     return "" if v != v else f"{v:.17g}"
 
 
-def _fmt_int(value):
-    return str(int(value))
-
-
-# formatters by exact type, for the types the experiments emit; other
-# numbers go by kind (bool admits no subclasses), anything else through str
+# formatters by exact type; every other type (int, np.int64, str) is written by str
 _FORMATS = {
     type(None): lambda value: "",
     bool: lambda value: "true" if value else "false",
-    int: str,
-    np.int64: _fmt_int,
     float: _fmt_real,
     np.float64: _fmt_real,
-    str: str,
 }
-_KINDS = (((int, np.integer), _fmt_int), ((float, np.floating), _fmt_real))
 
 
 def _fmt(value):
-    fmt = _FORMATS.get(type(value))
-    if fmt is None:
-        fmt = next((f for kind, f in _KINDS if isinstance(value, kind)), str)
-    return fmt(value)
+    return _FORMATS.get(type(value), str)(value)
 
 
 def emit_csv(header, rows, path):
@@ -212,7 +201,6 @@ def _hierarchy(cfg, kind, default_n):
 
 
 def _write_run(experiment, finest_n, levels, beta, result, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
     outer_path = os.path.join(out_dir, f"{experiment}_outer.csv")
     summary_path = os.path.join(out_dir, f"{experiment}_summary.csv")
     solution_path = os.path.join(out_dir, f"{experiment}_solution.csv")
@@ -247,7 +235,8 @@ def _run_control(cfg, experiment, kind, default_n, build, target, bounds, beta,
     finest node coordinates to u0, and bounds (lo, hi), beta and options
     (IpmOptions fields) are the defaults that the config overrides.  A
     ValueError anywhere in the set-up is a ConfigError; the solve's own
-    failures are not.
+    failures are not.  The output directory is made before the solve, so
+    an unwritable one fails first.
     """
     try:
         hier, finest_n, levels = _hierarchy(cfg, kind, default_n)
@@ -261,9 +250,10 @@ def _run_control(cfg, experiment, kind, default_n, build, target, bounds, beta,
         opts = _dataclass_config(IpmOptions, {**options, **cfg})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    out_dir = cfg.get("output_dir", ".")
+    os.makedirs(out_dir, exist_ok=True)
     result = solve(problem, opts)
-    arts = _write_run(experiment, finest_n, levels, beta, result,
-                      cfg.get("output_dir", "."))
+    arts = _write_run(experiment, finest_n, levels, beta, result, out_dir)
     return arts, result.converged
 
 
@@ -301,39 +291,23 @@ def run_spectral_table(cfg):
     146 at the default 1/h = 80, 160, 320 and 640.  A cell that fails
     numerically (a coarse core with no Cholesky factor, a spectrum off the
     right half line) raises RuntimeError, which main reports as a solver
-    error; a ValueError, the operators' own checks included, is a ConfigError.
+    error; a ValueError, from the table's own input checks or the
+    operators', is a ConfigError.
     """
-    h_list = cfg.get("h_list", (1 / 80, 1 / 160, 1 / 320, 1 / 640))
-    beta_list = cfg.get("beta_list", (1.0, 0.1, 0.01))
+    out_dir = cfg.get("output_dir", ".")
     try:
         op_cfg = _dataclass_config(ParabolicConfig, {"c1": 2.0, **cfg})
-        for h in h_list:
-            inv = 1.0 / h if h > 0.0 else 0.0
-            n = round(inv) if np.isfinite(inv) else 0
-            if not (8 <= n <= DENSE_LIMIT and n % 2 == 0 and abs(inv - n) <= 1e-9 * n):
-                raise ConfigError(f"h_list entry {h!r}: 1/h must be an even integer"
-                                  f" between 8 and {DENSE_LIMIT}")
-        for beta in beta_list:
-            if not (np.isfinite(beta) and beta > 0.0):
-                raise ConfigError(f"beta_list entry {beta!r} must be positive and finite")
+        os.makedirs(out_dir, exist_ok=True)
         reports = spectral_distance_table(
             lambda level, i: parabolic_build(level, op_cfg, i),
             lambda xs: np.sin(np.pi * xs) / np.pi,
-            h_list=h_list,
-            beta_list=beta_list,
+            **{key: cfg[key] for key in ("h_list", "beta_list") if key in cfg},
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out_dir = cfg.get("output_dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "spectral.csv")
-    emit_csv(
-        ["h", "beta", "d_h", "rate"],
-        [(r.h, r.beta, r.d_h,
-          None if r.rate_vs_previous != r.rate_vs_previous else r.rate_vs_previous)
-         for r in reports],
-        path,
-    )
+    emit_csv(["h", "beta", "d_h", "rate"],
+             [(r.h, r.beta, r.d_h, r.rate_vs_previous) for r in reports], path)
     return RunArtifacts(path, path, path), True
 
 

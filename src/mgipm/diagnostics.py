@@ -77,7 +77,9 @@ def two_grid_cell(op_builder, lambda_rule, n_cells, beta):
     and C = I + Q^T (S (G Q) - Q) is k x k.  The spectrum of S G is that of
     C plus n - k unit eigenvalues.  Costs 2k fine operator applies in one
     block call of g_apply on Q (one apply counted per column).
-    Returns (hierarchy, C).
+    Returns (hierarchy, C).  Raises ValueError for an odd cell count, an
+    operator without a normal_rank, or k > DENSE_LIMIT (before any QR or
+    apply).
     """
     if n_cells % 2:
         raise ValueError(f"two-grid cell needs an even cell count, got {n_cells}")
@@ -85,6 +87,10 @@ def two_grid_cell(op_builder, lambda_rule, n_cells, beta):
     ops = [op_builder(level, i) for i, level in enumerate(hier.levels)]
     if any(op.normal_rank is None for op in ops):
         raise ValueError("two-grid cell needs operators with a normal_rank")
+    k = min(hier.finest.n_dof, sum(op.normal_rank for op in ops))
+    if k > DENSE_LIMIT:
+        raise ValueError(f"two-grid cell at 1/h = {n_cells} compresses to k = {k}"
+                         f" dof; eigenvalues limited to {DENSE_LIMIT}")
     rule = np.asarray(lambda_rule(node_coordinates(hier.finest)), dtype=float)
     mg = build_preconditioner(hier, ops, NodalField(1, rule + beta), beta)
     b0, b1 = (op.normal_expand(np.eye(op.normal_rank)) for op in ops)
@@ -114,6 +120,15 @@ def _cell_spectrum(c):
     return alpha, d, imag_ratio
 
 
+def _cell_count(h):
+    # a non-positive or non-finite h (or 1/h) maps to 0 and fails the test
+    inv = 1.0 / h if h > 0.0 else 0.0
+    n = round(inv) if np.isfinite(inv) else 0
+    if not (n >= 8 and n % 2 == 0 and abs(inv - n) <= 1e-9 * n):
+        raise ValueError(f"h_list entry {h!r}: 1/h must be an even integer of at least 8")
+    return n
+
+
 def spectral_distance_table(op_builder, lambda_rule,
                             h_list=(1 / 80, 1 / 160, 1 / 320, 1 / 640),
                             beta_list=(1.0, 0.1, 0.01)):
@@ -123,13 +138,18 @@ def spectral_distance_table(op_builder, lambda_rule,
     entry of a row is d_{2h}/d_h against the preceding row of the same
     group (nan on the first).  max_imag_ratio records how far the
     computed spectrum strays from the real line; it is reported, never
-    truncated away.
+    truncated away.  Before the first cell it raises ValueError unless
+    every 1/h is an even integer of at least 8 (to 1e-9 relative) and
+    every beta is positive and finite.
     """
+    cells = [_cell_count(h) for h in h_list]
+    for beta in beta_list:
+        if not (np.isfinite(beta) and beta > 0.0):
+            raise ValueError(f"beta_list entry {beta!r} must be positive and finite")
     reports = []
     for beta in beta_list:
         prev = None
-        for h in h_list:
-            n_cells = round(1.0 / h)
+        for h, n_cells in zip(h_list, cells):
             _, c = two_grid_cell(op_builder, lambda_rule, n_cells, beta)
             _, d, imag_ratio = _cell_spectrum(c)
             if prev is None:

@@ -312,7 +312,12 @@ class ParabolicOperator(ForwardOperator):
         Raises RuntimeError when the core has no Cholesky factor (lambda
         near 0 leaves it indefinite to roundoff, or 1/p^2 overflows).
         """
-        core = self.normal_gram(1.0 / (p * p))
+        with np.errstate(over="ignore", divide="ignore"):
+            w = 1.0 / (p * p)
+        if not np.isfinite(w).all():
+            raise RuntimeError("coarse Woodbury core has no Cholesky factor: "
+                               "array must not contain infs or NaNs")
+        core = self.normal_gram(w)
         if not core.size:
             # every mode underflowed (a large c): K^T K = 0, so G = I (and
             # LAPACK takes no 0 x 0)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from mgipm import operators
+from mgipm import cli, operators
 from mgipm.cli import (
     _READS,
     _RUNNERS,
@@ -396,6 +396,19 @@ class TestRunSpectralTable:
         assert float(rows[1][2]) < float(rows[0][2])
         assert float(rows[3][2]) < float(rows[2][2])
 
+    def test_resolution_past_the_dense_route_cap(self, tmp_path):
+        # 1/h = 2560 lies above the dense route's old 2048 cap; only the
+        # compression size k is bounded, and here k is far below DENSE_LIMIT
+        path = write_config(
+            tmp_path,
+            "experiment = spectral-table\nh_list = 0.000390625\nbeta_list = 1.0\n"
+            f"output_dir = {tmp_path}\n",
+        )
+        assert main(["spectral", path]) == 0
+        _, rows = read_csv(str(tmp_path / "spectral.csv"))
+        assert [float(r[0]) for r in rows] == [1 / 2560]
+        assert 0.0 < float(rows[0][2]) < 1e-4
+
     def test_single_resolution_has_no_rates(self, tmp_path):
         cfg = {"experiment": "spectral-table", "h_list": (1 / 16,),
                "beta_list": (1.0, 0.1, 0.01), "output_dir": str(tmp_path)}
@@ -597,8 +610,11 @@ class TestMain:
         # 1/p^2 reaches 1e300 at lambda = beta: the coarse Woodbury core
         # rounds to indefinite
         ("beta_list = 1e-300\n", "coarse Woodbury core has no Cholesky factor: 3-th"),
-        # a subnormal beta: 1/p^2 overflows to inf
-        ("beta_list = 1e-310\n", "coarse Woodbury core has no Cholesky factor: array"),
+        # a subnormal beta: 1/p^2 overflows to inf, which is refused before
+        # the core is formed, so no numpy warning precedes the error line
+        pytest.param("beta_list = 1e-310\n",
+                     "coarse Woodbury core has no Cholesky factor: array",
+                     marks=pytest.mark.filterwarnings("error"), id="woodbury-overflow"),
     ], ids=["spectrum", "woodbury-core", "woodbury-overflow"])
     def test_spectral_cell_failure_returns_two_with_reason(self, tmp_path, capsys,
                                                            body, reason):
@@ -611,6 +627,26 @@ class TestMain:
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"solver error: {path}: {reason}")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, body", [
+        ("run", "experiment = parabolic-1d\nfinest_n = 64\nlevels = 2\n"),
+        ("run", "experiment = elliptic-2d\nfinest_n = 16\nlevels = 1\n"),
+        ("spectral", "experiment = spectral-table\nh_list = 0.125\n"),
+    ], ids=["parabolic", "elliptic", "spectral"])
+    def test_unwritable_output_dir_fails_before_the_solve(self, tmp_path, capsys,
+                                                          monkeypatch, command, body):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the output directory was made")
+
+        monkeypatch.setattr(cli, "solve", refuse)
+        monkeypatch.setattr(cli, "spectral_distance_table", refuse)
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        path = write_config(tmp_path, body + f"output_dir = {blocker / 'sub'}\n")
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ")
+        assert len(err.strip().splitlines()) == 1
 
     def test_config_errors_return_one(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
@@ -787,7 +823,8 @@ class TestUnreadKeys:
         ("h_list = 0.012345679\n", "h_list entry 0.012345679: 1/h must be an even"),
         ("h_list = 0\n", "h_list entry 0.0: 1/h must be an even"),
         ("h_list = 0.0625\nbeta_list = 1, 0\n", "beta_list entry 0.0 must be positive"),
-    ], ids=["h_list-odd", "h_list-0", "beta_list-0"])
+        ("h_list = 0.0625\nbeta_list = nan\n", "beta_list entry nan must be positive"),
+    ], ids=["h_list-odd", "h_list-0", "beta_list-0", "beta_list-nan"])
     def test_table_values_are_checked_without_control_keys(self, tmp_path, capsys,
                                                            body, reason):
         # the table's own checks, which a config that also holds finest_n
@@ -841,6 +878,16 @@ class TestBoundsFile:
         assert err.startswith(f"config error: {bounds}: ")
         assert "zero" in err
 
+    def test_missing_file_is_an_io_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        path = write_config(
+            tmp_path,
+            "experiment = parabolic-1d\nfinest_n = 16\nlevels = 1\n"
+            f"bounds_file = {missing}\noutput_dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["run", path]) == 1
+        assert capsys.readouterr().err == f"io error: {missing} not found.\n"
+        assert not (tmp_path / "out").exists()
 
     def test_infinite_row_is_a_config_error(self, tmp_path, capsys):
         code, bounds = self.run(tmp_path, ["0,1"] * 3 + ["-inf,1"] + ["0,1"] * 12)

@@ -1,12 +1,14 @@
 """Spectral checks of the two-grid approximation quality."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
 from conftest import char_poly_coeffs, durand_kerner, lemma_a2_check, power_dominant
-from mgipm import precond
+from mgipm import diagnostics, precond
 from mgipm.diagnostics import (
     _cell_spectrum,
     eigenvalues,
@@ -159,6 +161,23 @@ class TestTwoGridCell:
         with pytest.raises(ValueError, match="even"):
             two_grid_cell(parabolic_builder, np.sin, 81, 1.0)
 
+    def test_refuses_a_compression_past_the_dense_limit(self, monkeypatch):
+        # at 16 cells k = 16; the ranks are read right after the build, so
+        # the refusal costs no QR and no apply
+        ops = []
+
+        def builder(level, level_index):
+            ops.append(parabolic_builder(level, level_index))
+            return ops[-1]
+
+        monkeypatch.setattr(diagnostics, "DENSE_LIMIT", 15)
+        with pytest.raises(ValueError, match="k = 16 dof; eigenvalues limited to 15$"):
+            two_grid_cell(builder, np.sin, 16, 1.0)
+        assert len(ops) == 2
+        assert [op.matvec_counter for op in ops] == [0, 0]
+        monkeypatch.setattr(diagnostics, "DENSE_LIMIT", 16)
+        assert two_grid_cell(parabolic_builder, np.sin, 16, 1.0)[1].shape == (16, 16)
+
     def test_rejects_an_operator_without_a_factor(self):
         class Unfactored(ZeroOperator):
             normal_rank = None
@@ -220,6 +239,26 @@ class TestTwoGridCell:
 
 
 class TestSpectralDistanceTable:
+    @pytest.mark.parametrize("h_list, beta_list, reason", [
+        ((1 / 16, 1 / 80.4), (1.0,),
+         f"h_list entry {1 / 80.4!r}: 1/h must be an even integer"),
+        ((1 / 16, 0.3), (1.0,), "h_list entry 0.3: 1/h must be an even integer"),
+        ((1 / 16, 0.0), (1.0,), "h_list entry 0.0: 1/h must be an even integer"),
+        ((1 / 16,), (1.0, float("nan")), "beta_list entry nan must be positive and finite"),
+        ((1 / 16,), (1.0, 0.0), "beta_list entry 0.0 must be positive and finite"),
+    ], ids=["h=1/80.4", "h=0.3", "h=0", "beta=nan", "beta=0"])
+    def test_checks_every_input_before_the_first_cell(self, h_list, beta_list, reason):
+        # the bad entry comes last, after entries that would build a cell
+        built = []
+
+        def builder(level, level_index):
+            built.append(level_index)
+            return parabolic_builder(level, level_index)
+
+        with pytest.raises(ValueError, match="^" + re.escape(reason)):
+            spectral_distance_table(builder, np.sin, h_list=h_list, beta_list=beta_list)
+        assert built == []
+
     def test_zero_map_collapses_the_table(self):
         # an exact preconditioner makes every distance vanish and leaves
         # no meaningful rate anywhere

@@ -26,6 +26,7 @@ from mgipm.grid import (
     node_coordinates,
     prolong,
     rfft,
+    unwrap,
 )
 
 
@@ -436,7 +437,18 @@ class TestL2Project:
             l2_project(hier, NodalField(0, np.zeros(8)))
 
 
+class TestUnwrap:
+    def test_field_on_the_wrong_level_is_rejected(self):
+        with pytest.raises(ValueError, match="^field on level 0, expected level 1$"):
+            unwrap(NodalField(0, np.zeros(4)), 1)
+
+
 class TestCoarsenLambda:
+    def test_rejects_the_coarsest_level(self):
+        hier = build_hierarchy("periodic-interval", 4, 2)
+        with pytest.raises(ValueError, match="^cannot coarsen from the coarsest level$"):
+            coarsen_lambda(hier, NodalField(0, np.ones(4)))
+
     def test_constant(self):
         hier = build_hierarchy("periodic-interval", 4, 2)
         out = coarsen_lambda(hier, NodalField(1, np.full(8, 2.5)))

@@ -110,6 +110,16 @@ class TestControlProblem:
         with pytest.raises(ValueError, match="finite"):
             zero_problem(8, beta=beta)
 
+    @pytest.mark.parametrize("name", ["f", "lo", "hi"])
+    def test_rejects_data_off_the_finest_level(self, name):
+        hier = build_hierarchy("periodic-interval", 8, 2)
+        ops = [ZeroOperator(i, lv) for i, lv in enumerate(hier.levels)]
+        data = {"f": NodalField(1, np.zeros(16)), "lo": NodalField(1, np.zeros(16)),
+                "hi": NodalField(1, np.ones(16))}
+        data[name] = NodalField(0, data[name].values[0::2])
+        with pytest.raises(ValueError, match=f"^{name} must live on the finest level$"):
+            ControlProblem(hier, ops, data["f"], 1.0, data["lo"], data["hi"])
+
     def test_rejects_operator_count_mismatch(self):
         hier = build_hierarchy("periodic-interval", 8, 2)
         op = ZeroOperator(1, hier.finest)

@@ -235,6 +235,21 @@ class TestCgs:
         assert np.linalg.norm(x - expected) <= 1e-6 * np.linalg.norm(expected)
         assert counter["n"] == 2 * report.iterations + 1
 
+    @pytest.mark.parametrize("A, applies", [
+        # rho = rtilde^T r is exactly 0 after the first step: one restart
+        # from the current iterate, whose sigma is then exactly 0
+        ([[-2.0, -1.0, 0.0], [0.0, 0.0, -2.0], [-2.0, -2.0, -2.0]], 4),
+        # sigma = b^T A b is exactly 0 from the start and again after the
+        # restart
+        ([[0.0, 1.0], [1.0, 1.0]], 3),
+    ], ids=["rho", "sigma"])
+    def test_breakdown_restarts_once_then_raises(self, A, applies):
+        op, counter = counted_apply(np.array(A))
+        b = np.eye(len(A))[0]
+        with pytest.raises(KrylovBreakdown, match="^cgs: sigma breakdown recurred"):
+            cgs(op, lambda r: r, b)
+        assert counter["n"] == applies
+
     def test_zero_rhs_short_circuits(self):
         op, counter = counted_apply(np.eye(4))
         x, report = cgs(op, lambda r: r, np.zeros(4))

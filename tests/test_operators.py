@@ -36,6 +36,17 @@ def line_1024():
     return build_hierarchy("periodic-interval", 1024, 1).finest
 
 
+@pytest.mark.parametrize("build, kind, reason", [
+    (parabolic_build, "dirichlet-square",
+     "parabolic operator requires a periodic-interval level"),
+    (elliptic_build, "periodic-interval",
+     "elliptic operator requires a dirichlet-square level"),
+], ids=["parabolic", "elliptic"])
+def test_builder_rejects_the_other_grid_kind(build, kind, reason):
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        build(build_hierarchy(kind, 8, 1).finest)
+
+
 class TestParabolicBuild:
     def test_constants_ride_through_without_reaction(self, line_1024):
         op = parabolic_build(line_1024, ParabolicConfig(a=4e-3, b=0.4, c=0.0, T=0.8))

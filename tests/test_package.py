@@ -1,8 +1,10 @@
 """The import surface: what the package and its modules export."""
 
 import importlib
+import inspect
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import mgipm
@@ -53,6 +55,17 @@ def test_parabolic_operator_keeps_no_transform_halves():
 def test_cli_keeps_no_config_error_converters():
     assert not hasattr(cli, "_operator")
     assert not hasattr(cli, "_problem")
+
+
+# the spectral table checks its own inputs, and one exact-type table writes
+# every CSV cell with the missing-value rule in it alone
+def test_cli_keeps_no_table_checks_or_cell_fallbacks():
+    for name in ("DENSE_LIMIT", "_KINDS", "_fmt_int"):
+        assert not hasattr(cli, name)
+    assert set(cli._FORMATS) == {type(None), bool, float, np.float64}
+    runner = inspect.getsource(cli.run_spectral_table)
+    for text in ("h_list entry", "beta_list entry", "isfinite", "None"):
+        assert text not in runner
 
 
 @pytest.mark.parametrize("name", MODULES)

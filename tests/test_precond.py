@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import DenseOperator, lemma_a2_check, sine_diagonalization
+from mgipm import precond
 from mgipm.grid import NodalField, build_hierarchy, l2_project, node_coordinates, prolong
-from mgipm.krylov import cgs
+from mgipm.krylov import KrylovReport, cgs
 from mgipm.operators import ParabolicConfig, ZeroOperator, elliptic_build, parabolic_build
 from mgipm.precond import build_preconditioner, g_apply, make_scaled_system, mg_apply
 
@@ -139,6 +140,22 @@ class TestBuildPreconditioner:
         mg = build_preconditioner(hier, ops, lam, beta=1.0)
         assert_allclose(mg.systems[1].p, np.sqrt(lam.values[0::2]), rtol=0)
         assert_allclose(mg.systems[0].p, np.sqrt(lam.values[0::4]), rtol=0)
+
+    def test_rejects_an_unknown_coarsest_solver(self):
+        hier = build_hierarchy("periodic-interval", 8, 2)
+        with pytest.raises(ValueError, match="^unknown coarsest solver 'lu'$"):
+            build_preconditioner(hier, parabolic_chain(hier), sine_lambda(hier, 1.0),
+                                 beta=1.0, coarsest_solver="lu")
+
+    def test_stalled_coarse_cg_raises(self, monkeypatch):
+        # cg is looked up on precond per coarse solve
+        monkeypatch.setattr(precond, "cg", lambda apply, r, tol, maxit: (
+            np.zeros_like(r), KrylovReport(maxit, 0.5, False)))
+        hier = build_hierarchy("periodic-interval", 8, 2)
+        mg = build_preconditioner(hier, parabolic_chain(hier), sine_lambda(hier, 1.0),
+                                  beta=1.0, coarsest_solver="cg")
+        with pytest.raises(RuntimeError, match="^coarsest-level CG stalled at 5.00e-01$"):
+            mg_apply(mg, np.ones(16))
 
     def test_dense_and_cg_coarse_solves_agree(self, rng):
         hier = build_hierarchy("periodic-interval", 40, 2)
