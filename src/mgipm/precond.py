@@ -155,16 +155,32 @@ def mg_apply(mg, r):
 
 
 def _cycle(mg, r_vals, i):
+    """The W-cycle from level i, computed in place; r_vals is left as it is.
+
+    Level i returns u = r - J Pi r + J cycle(Pi r) and, on an intermediate
+    level, then u + r1 - J Pi r1 + J cycle(Pi r1) with r1 = r - G u.  Each
+    sum is taken left to right in a fresh array (r1 in g_apply's output,
+    each correction in its first prolongation's), so the results carry the
+    bits of those out-of-place formulas.
+    """
     if i == 0:
         return mg.coarse_solve(r_vals)
-    hier = mg.hierarchy
-    rf = NodalField(i, r_vals)
-    pr = l2_project(hier, rf)
-    coarse = NodalField(i - 1, _cycle(mg, pr.values, i - 1))
-    u = r_vals - prolong(hier, pr).values + prolong(hier, coarse).values
+    u = _correction(mg, r_vals, r_vals, i)
     if i < mg.n_levels - 1:
-        r1 = r_vals - g_apply(mg.systems[i], u)
-        pr1 = l2_project(hier, NodalField(i, r1))
-        coarse1 = NodalField(i - 1, _cycle(mg, pr1.values, i - 1))
-        u = u + r1 - prolong(hier, pr1).values + prolong(hier, coarse1).values
+        r1 = g_apply(mg.systems[i], u)
+        np.subtract(r_vals, r1, out=r1)
+        u += r1
+        u = _correction(mg, u, r1, i)
     return u
+
+
+def _correction(mg, base, r, i):
+    """base - J Pi r + J cycle(Pi r), summed left to right in the fresh J Pi r."""
+    hier = mg.hierarchy
+    pr = l2_project(hier, NodalField(i, r))
+    coarse = NodalField(i - 1, _cycle(mg, pr.values, i - 1))
+    out = prolong(hier, pr).values
+    del pr  # half a block fewer while J cycle(Pi r) is formed
+    np.subtract(base, out, out=out)
+    out += prolong(hier, coarse).values
+    return out

@@ -7,7 +7,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
-from conftest import char_poly_coeffs, durand_kerner, lemma_a2_check, power_dominant
+from conftest import (
+    char_poly_coeffs,
+    durand_kerner,
+    lemma_a2_check,
+    peak_vectors,
+    power_dominant,
+)
 from mgipm import diagnostics, precond
 from mgipm.diagnostics import (
     _cell_spectrum,
@@ -156,6 +162,28 @@ class TestTwoGridCell:
         monkeypatch.setattr(precond, "g_apply", spy)
         _, c = two_grid_cell(parabolic_builder, np.sin, 80, 0.1)
         assert calls == [(80, c.shape[0])]
+
+    @pytest.mark.parametrize("n, k, bound", [(320, 98, 5.8), (640, 146, 5.35)])
+    def test_working_set(self, n, k, bound):
+        # peak traced allocation of one cell of the default table, in
+        # n x k blocks: 5.19 and 4.77 measured with [B_1, J B_0]
+        # orthonormalized in place and the W-cycle summed in place, so the
+        # bounds leave about 12% over them.  A stacked copy, np.linalg.qr
+        # and out-of-place sums held the cell at 7.38 and 6.46
+        cfg = ParabolicConfig(c1=2.0)
+
+        def builder(level, level_index):
+            return parabolic_build(level, cfg, level_index=level_index)
+
+        cells = []
+        peak = peak_vectors(
+            lambda: cells.append(
+                two_grid_cell(builder, lambda xs: np.sin(np.pi * xs) / np.pi, n, 1e-2)
+            ),
+            n * k,
+        )
+        assert cells[0][1].shape == (k, k)
+        assert peak <= bound
 
     def test_rejects_an_odd_cell_count(self):
         with pytest.raises(ValueError, match="even"):
