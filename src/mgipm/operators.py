@@ -41,7 +41,10 @@ D = diag(1/p): scaled_inverse(p) factors once and returns r -> G^{-1} r,
 exact to roundoff, for an n-vector or an n x k block.  The parabolic and
 elliptic inverses apply the Woodbury identity to F and to the band (a
 relative G residual of at most 2e-13 measured at every size), K = 0 gives
-G = I, and an operator with no structure LU-factors its dense G.
+G = I, and an operator with no structure LU-factors its dense G.  Each
+operator builds its apply's tables in the constructor (the parabolic
+_symbol and _split, the elliptic _sine and _neg_eig) and those of its
+coarse inverse (_normal_modes, _band_terms) on first use.
 """
 
 from __future__ import annotations
@@ -177,9 +180,9 @@ class ParabolicConfig:
     The time step targets k = c1*h; the step count N_t = ceil(T/(c1*h)) is
     then used with k = T/N_t so the final time is hit exactly (the two agree
     whenever T/(c1*h) is an integer).  Out-of-range values raise
-    ValueError at construction, a T/(c1*h) that is not finite raises it
-    when the operator is built, and coefficients so large that the time
-    step overflows raise it when the operator's modes are first computed.
+    ValueError at construction; a T/(c1*h) of 1/eps or more, and
+    coefficients so large that the time step overflows, raise it when the
+    operator is built (see ParabolicOperator).
     """
 
     a: float = 4e-3
@@ -202,19 +205,32 @@ class ParabolicConfig:
 
 
 class ParabolicOperator(ForwardOperator):
-    """K = E^{N_t} with E the Crank-Nicolson step (M + k/2 S)^{-1}(M - k/2 S)."""
+    """K = E^{N_t} with E the Crank-Nicolson step (M + k/2 S)^{-1}(M - k/2 S).
+
+    The constructor builds the apply's tables.  _symbol[k] is the eigenvalue
+    of K on mode k for k <= kmax, the last mode with |symbol| > eps
+    max|symbol|.  _split is None for the plain length-n round trip, else
+    (table, twiddle, back, weight) for n = B L, L the largest divisor of n
+    up to sqrt(n): table[b, 2k] = cos(2 pi k b / B), table[b, 2k + 1] =
+    -sin(2 pi k b / B), twiddle[l, k] = exp(-2 pi i k l / n), back its
+    conjugate, and weight[k] = 1/n for k = 0 (no conjugate partner) and 2/n
+    for the rest (kmax + 1 <= sqrt(n), so the Nyquist mode is not among them).
+
+    ValueError: a step count T/(c1 h) of 1/eps or more (each step's modulus
+    is rounded to a relative eps and the symbol is its N_t-th power, so no
+    digit of it would be right), or a time step that overflows.
+    """
 
     def __init__(self, level_index, level, config):
         super().__init__(level_index, level)
         n = level.n_cells
         h = level.h
         target = config.c1 * h
-        if not (target and isfinite(config.T / target)):
-            raise ValueError(f"time-step ratio c1={config.c1!r} leaves T/(c1*h) not"
-                             f" finite for T={config.T!r} and h={h!r}")
-        self.config = config
-        self.n_steps = max(1, ceil(config.T / target))
-        self.dt = config.T / self.n_steps
+        if not (target > 0 and config.T / target * _EPS < 1):
+            raise ValueError(f"time-step ratio c1={config.c1!r} leaves T/(c1*h) at or past"
+                             f" 1/eps steps for T={config.T!r} and h={h!r}")
+        n_steps = max(1, ceil(config.T / target))
+        dt = config.T / n_steps
         a, b, c = config.a, config.b, config.c
         # circulant first rows of the consistent mass and transport matrices
         first_rows = np.zeros((2, n))
@@ -224,7 +240,45 @@ class ParabolicOperator(ForwardOperator):
         first_rows[1, 0] = 2.0 * a / h + 2.0 * c * h / 3.0
         first_rows[1, 1] = -a / h - b / 2.0 + c * h / 6.0
         first_rows[1, -1] = -a / h + b / 2.0 + c * h / 6.0
-        self._first_rows = first_rows
+        # eigenvalues of a circulant with first row r are sum_m r[m] w^{mk},
+        # i.e. the conjugate FFT of the row; K is real, so the modes
+        # k = 0..n//2 hold it all (mode n-k is the conjugate of mode k)
+        m_hat, s_hat = np.conj(rfft(first_rows, axis=1))
+        # coefficients near the float range overflow the transport modes
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = 0.5 * dt * s_hat
+            step = (m_hat - half) / (m_hat + half)
+        # |symbol| = |step|^n_steps, so mode k is kept when
+        # n_steps log(|step_k| / max|step|) > log eps; only those are raised.
+        # Below 1/eps steps eps^(1/n_steps) < 1 - 8e-15, so the cut stays
+        # below the maximum and its modes are kept
+        mag = np.abs(step)
+        if not np.isfinite(mag).all():
+            raise ValueError(f"parabolic coefficients a={a!r}, b={b!r}, c={c!r}"
+                             f" overflow the time step on h={h!r}")
+        cut = mag.max() * _EPS ** (1.0 / n_steps)
+        # a band that keeps the last mode needs no search (c1 = 2 keeps all)
+        kmax = mag.size - 1 if mag[-1] > cut else int(np.flatnonzero(mag > cut)[-1])
+        self._symbol = step[: kmax + 1] ** n_steps
+        self._split = None
+        stride = next(d for d in range(isqrt(n), 0, -1) if n % d == 0)
+        points = n // stride
+        # the split costs 8 (kmax + 1) n flops in two GEMMs and the round
+        # trip about 5 n log2 n in two FFTs, which run at a several times
+        # lower rate.  With one BLAS thread at n = 1024 to 65536 the two
+        # broke even between kmax + 1 = 4 log2 n and 6 log2 n.  The tables
+        # hold 2 (kmax + 1)(B + L) numbers; past 4 n (n prime, or twice a
+        # prime) the split is not used either
+        if kmax + 1 > 4.0 * log2(n) or (kmax + 1) * (points + stride) > 2 * n:
+            return
+        k = np.arange(kmax + 1)
+        # integer phases keep the angles exact before the one rounding
+        angle = (2.0 * np.pi / points) * (np.outer(np.arange(points), k) % points)
+        table = np.stack([np.cos(angle), -np.sin(angle)], axis=-1).reshape(points, -1)
+        angle = (2.0 * np.pi / n) * (np.outer(np.arange(stride), k) % n)
+        twiddle = np.cos(angle) - 1j * np.sin(angle)
+        weight = np.where(k == 0, 1.0, 2.0) / n
+        self._split = (table, twiddle, np.conj(twiddle), weight)
 
     @property
     def normal_rank(self):
@@ -247,7 +301,7 @@ class ParabolicOperator(ForwardOperator):
         column back together.
         """
         n = self.level.n_dof
-        lam = np.abs(self._band[0]) ** 2
+        lam = np.abs(self._symbol) ** 2
         keep = np.flatnonzero(lam > _EPS * lam.max())
         paired = (keep > 0) & (2 * keep < n)
         c = np.where(paired, 2.0, 1.0)
@@ -336,73 +390,17 @@ class ParabolicOperator(ForwardOperator):
 
         return solve
 
-    @cached_property
-    def _band(self):
-        """(symbol, split): the kept modes of the symbol, and the split plan.
-
-        symbol[k] is the eigenvalue of K on mode k for k <= kmax, the last
-        mode with |symbol| > eps max|symbol|.  split is None where the apply
-        is the plain length-n round trip.  Otherwise it is (table, twiddle,
-        back, weight) for n = B L, L the largest divisor of n up to sqrt(n):
-        table[b, 2k] = cos(2 pi k b / B) and table[b, 2k + 1] =
-        -sin(2 pi k b / B), twiddle[l, k] = exp(-2 pi i k l / n), back its
-        conjugate, and weight[k] the real output's weight of mode k: 1/n for
-        k = 0, which has no conjugate partner, and 2/n for the others (a
-        split keeps kmax + 1 <= sqrt(n), so the Nyquist mode is never among
-        them).
-        """
-        n = self.level.n_dof
-        # eigenvalues of a circulant with first row r are sum_m r[m] w^{mk},
-        # i.e. the conjugate FFT of the row; K is real, so the modes
-        # k = 0..n//2 hold it all (mode n-k is the conjugate of mode k)
-        m_hat, s_hat = np.conj(rfft(self._first_rows, axis=1))
-        # coefficients near the float range overflow the transport modes
-        with np.errstate(over="ignore", invalid="ignore"):
-            half = 0.5 * self.dt * s_hat
-            step = (m_hat - half) / (m_hat + half)
-        # |symbol| = |step|^n_steps, so mode k is kept when
-        # n_steps log(|step_k| / max|step|) > log eps; only those are raised
-        mag = np.abs(step)
-        if not np.isfinite(mag).all():
-            c = self.config
-            raise ValueError(f"parabolic coefficients a={c.a!r}, b={c.b!r}, c={c.c!r}"
-                             f" overflow the time step on h={self.level.h!r}")
-        # past n_steps of about 6e17, eps^(1/n_steps) rounds to 1; the cut
-        # then stays just below the maximum, so the modes at it are kept
-        cut = min(mag.max() * _EPS ** (1.0 / self.n_steps), np.nextafter(mag.max(), 0.0))
-        # a band that keeps the last mode needs no search (c1 = 2 keeps all)
-        kmax = mag.size - 1 if mag[-1] > cut else int(np.flatnonzero(mag > cut)[-1])
-        symbol = step[: kmax + 1] ** self.n_steps
-        stride = next(d for d in range(isqrt(n), 0, -1) if n % d == 0)
-        points = n // stride
-        # the split costs 8 (kmax + 1) n flops in two GEMMs and the round
-        # trip about 5 n log2 n in two FFTs, which run at a several times
-        # lower rate.  With one BLAS thread at n = 1024 to 65536 the two
-        # broke even between kmax + 1 = 4 log2 n and 6 log2 n.  The tables
-        # hold 2 (kmax + 1)(B + L) numbers; past 4 n (n prime, or twice a
-        # prime) the split is not used either
-        if kmax + 1 > 4.0 * log2(n) or (kmax + 1) * (points + stride) > 2 * n:
-            return symbol, None
-        k = np.arange(kmax + 1)
-        # integer phases keep the angles exact before the one rounding
-        angle = (2.0 * np.pi / points) * (np.outer(np.arange(points), k) % points)
-        table = np.stack([np.cos(angle), -np.sin(angle)], axis=-1).reshape(points, -1)
-        angle = (2.0 * np.pi / n) * (np.outer(np.arange(stride), k) % n)
-        twiddle = np.cos(angle) - 1j * np.sin(angle)
-        weight = np.where(k == 0, 1.0, 2.0) / n
-        return symbol, (table, twiddle, np.conj(twiddle), weight)
-
     def _apply(self, u):
-        return self._filter(self._band[0], u)
+        return self._filter(self._symbol, u)
 
     def _apply_transpose(self, u):
-        return self._filter(np.conj(self._band[0]), u)
+        return self._filter(np.conj(self._symbol), u)
 
     def _filter(self, symbol, u):
         """symbol times the modes of u up to kmax along axis 0, the modes
-        above cut: the plain round trip, or the split (see _band)."""
+        above cut: the plain round trip, or the split (see the class)."""
         n = u.shape[0]
-        split = self._band[1]
+        split = self._split
         if split is None:
             # symbol goes first: numpy rounds a complex product by operand
             # order, and this order gives a full band the bits of

@@ -499,20 +499,22 @@ class TestMain:
                        f"iteration 5 (relative residual {residual})")
         assert not list(tmp_path.glob("*.csv"))
 
-    def test_tiny_time_step_ratio_runs(self, tmp_path, capsys):
-        # c1 = 1e-17 takes 5.12e18 Crank-Nicolson steps at n = 64, so
-        # eps^(1/n_steps) rounds to 1 and the band cut sits at the largest
-        # step modulus; the modes at it are kept, where the band came out
-        # empty and the run ended in an IndexError
-        path = write_config(
-            tmp_path,
-            "experiment = parabolic-1d\nfinest_n = 64\nc1 = 1e-17\n"
-            f"output_dir = {tmp_path}\n",
-        )
-        assert main(["run", path]) == 0
-        assert capsys.readouterr().err == ""
-        _, rows = read_csv(tmp_path / "parabolic-1d_summary.csv")
-        assert rows[0][-1] == "true"
+    @pytest.mark.parametrize("command, body", [
+        ("run", "experiment = parabolic-1d\nfinest_n = 64\nlevels = 2\n"),
+        ("spectral", "experiment = spectral-table\nh_list = 0.125\n"),
+    ], ids=["run", "spectral"])
+    def test_tiny_time_step_ratio_is_a_config_error(self, tmp_path, capsys,
+                                                    command, body):
+        # c1 = 1e-17 takes 5.12e18 Crank-Nicolson steps at n = 64, past
+        # 1/eps, so the operator would be made of rounding; the run
+        # converged on it without a word (13 outer iterations)
+        path = write_config(tmp_path, f"{body}c1 = 1e-17\noutput_dir = {tmp_path}\n")
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error: time-step ratio c1=1e-17")
+        assert "T=0.8 and h=" in err
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("beta", ["1e250", "1e300"])

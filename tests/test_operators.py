@@ -121,16 +121,27 @@ class TestParabolicBuild:
         with pytest.raises(ValueError):
             ParabolicConfig(T=float("inf"))
 
-    @pytest.mark.parametrize("n, c1", [(64, 1e-17), (1000, 1e-15), (1000, 1e-30)])
-    def test_tiny_time_step_keeps_the_modes_at_the_maximum(self, n, c1):
-        # past about 6e17 steps eps^(1/n_steps) rounds to 1, so the band
-        # cut would equal the largest step modulus and keep no mode.  The
-        # constant mode (step exactly 1 without reaction) must survive
+    @pytest.mark.parametrize("n, c1", [(64, 1e-17), (1000, 1e-15), (1000, 1e-30),
+                                       (64, 1e-14)])
+    def test_tiny_time_step_is_refused(self, n, c1):
+        # each step's modulus is rounded to a relative eps and the symbol is
+        # its n_steps-th power, so from T/(c1 h) = 1/eps steps on no digit of
+        # the symbol is right (5.12e18 steps at 64/1e-17, 5.1e15 at 64/1e-14);
+        # the operator built on 64/1e-17 converged a run without a word
         level = build_hierarchy("periodic-interval", n, 1).finest
-        op = parabolic_build(level, ParabolicConfig(c1=c1))
-        assert op.n_steps > 6e17
+        with pytest.raises(ValueError, match=re.escape(
+                f"time-step ratio c1={c1!r} leaves T/(c1*h) at or past 1/eps steps"
+                f" for T=0.8 and h={level.h!r}")):
+            parabolic_build(level, ParabolicConfig(c1=c1))
+
+    def test_smallest_time_step_keeps_the_top_mode(self):
+        # 2.56e15 steps, just below 1/eps: eps^(1/n_steps) is 1 - 1.4e-14,
+        # so the band cut stays below the largest step modulus and the
+        # constant mode (step exactly 1 without reaction) is kept
+        level = build_hierarchy("periodic-interval", 64, 1).finest
+        op = parabolic_build(level, ParabolicConfig(c1=2e-14))
         assert op.normal_rank >= 1
-        u = np.full(n, 0.75)
+        u = np.full(64, 0.75)
         assert np.allclose(op.apply(u), u, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("n, config", [
@@ -138,16 +149,13 @@ class TestParabolicBuild:
         (64, ParabolicConfig(a=1e306)), (4, ParabolicConfig(a=1e308, c1=2.0)),
     ], ids=["a=1e308", "c=1e308", "a=1e306", "a=1e308-n=4"])
     def test_overflowing_coefficients_raise_value_error(self, n, config):
-        # the transport modes overflow, the step modulus is NaN and no mode
-        # passed the band cut (an IndexError).  Nothing on the way warns
+        # the transport modes overflow and the step modulus is NaN, which
+        # the build refuses before any apply.  Nothing on the way warns
         level = build_hierarchy("periodic-interval", n, 1).finest
-        op = parabolic_build(level, config)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             with pytest.raises(ValueError, match=re.escape(
                     f"a={config.a!r}, b=0.4, c={config.c!r} overflow")):
-                op.apply(np.ones(n))
-            with pytest.raises(ValueError, match="overflow the time step"):
-                op.normal_rank
+                parabolic_build(level, config)
 
     def test_large_coefficient_on_a_coarse_grid_still_applies(self):
         # a = 1e306 overflows from n = 64 up; at n = 16 the modes stay finite
@@ -224,7 +232,7 @@ class TestNormalMembers:
     def test_match_the_explicit_factor(self, n, config, split, rng):
         level = build_hierarchy("periodic-interval", n, 1).finest
         op = parabolic_build(level, config)
-        assert (op._band[1] is not None) == split
+        assert (op._split is not None) == split
         F = expanded_factor(op)
         r = op.normal_rank
         if config.c1 == 2.0:
@@ -443,7 +451,7 @@ class TestBandApply:
     @staticmethod
     def points(op):
         # B of the split n = B L, or n where the apply is the plain transform
-        split = op._band[1]
+        split = op._split
         return op.level.n_dof if split is None else split[0].shape[0]
 
     # (n, config, B): 10 and 14 keep every mode; 1030 = 103 x 10 and

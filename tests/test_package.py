@@ -11,7 +11,12 @@ import mgipm
 from mgipm import cli, precond
 from mgipm.grid import GridLevel
 from mgipm.krylov import KrylovReport
-from mgipm.operators import ForwardOperator, ParabolicOperator, elliptic_build
+from mgipm.operators import (
+    ForwardOperator,
+    ParabolicOperator,
+    elliptic_build,
+    parabolic_build,
+)
 
 MODULES = ("grid", "operators", "krylov", "precond", "ipm", "diagnostics", "cli")
 
@@ -48,6 +53,14 @@ def test_precond_keeps_no_coarse_structure():
 def test_parabolic_operator_keeps_no_transform_halves():
     assert not hasattr(ParabolicOperator, "_forward")
     assert not hasattr(ParabolicOperator, "_back")
+
+
+# the constructor settles the apply: a parabolic operator keeps its named
+# band tables, not its build inputs or a lazy band tuple
+def test_parabolic_operator_keeps_no_build_inputs():
+    op = parabolic_build(GridLevel("periodic-interval", 8))
+    for name in ("_band", "_first_rows", "config", "dt", "n_steps"):
+        assert not hasattr(op, name)
 
 
 # each runner turns its whole set-up's ValueErrors into one ConfigError, so
